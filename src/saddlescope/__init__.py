@@ -3,13 +3,11 @@ dynamics, with certificates, graph transforms, and avoidance experiments."""
 
 from .dynsys import (
     NonAutonomousSystem,
-    NonFiniteIterate,
     OutsideChart,
     Splitting,
     SystemMap,
     TrajectoryRecord,
     counterexample_product,
-    max_norm,
     run_trajectory,
 )
 from .graphtransform import (

@@ -1,13 +1,16 @@
 """Monte Carlo verification of strict-saddle avoidance, plus the sampled
 full-rank (Luzin N^-1) scan.
 
-Random initializations are evolved in vectorized batches (trials are
-independent, and the per-trial random substreams are derived from one
-seed, so batching does not affect results), classified against the
-objective catalogue, and counted.  Convergence to a saddle is declared
-conservatively: the gradient must be below 1e-8 AND the iterate within
-1e-3 of a catalogued saddle for the final 50 stored iterates, so that
-the slow transients of vanishing step sizes never count as hits.
+Random initializations are evolved in one vectorized batch per cell,
+with any stable-set probes stacked under the trials, and every row is
+classified against the objective catalogue by the same helper; only the
+trial rows are counted.  Rows are independent (the per-trial random
+substreams derive from one seed, and the gd, rgd and pp maps act
+row-wise), so neither batching nor probes change a trial's result.
+Convergence to a saddle is declared conservatively: the gradient must be
+below 1e-8 AND the iterate within 1e-3 of a catalogued saddle for the
+final 50 stored iterates, so that the slow transients of vanishing step
+sizes never count as hits.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .phcert import (
     Schedule,
     StepTooLarge,
     check_admissible,
+    constant_schedule,
     is_nonsummable,
     schedule_sup,
 )
@@ -40,6 +44,8 @@ SADDLE_GRAD_TOL = 1e-8
 SADDLE_DIST_TOL = 1e-3
 SADDLE_WINDOW = 50
 STOP_WINDOW = 60  # > SADDLE_WINDOW: the confinement check postdates the stop transient
+STOP_TOL = 1e-12  # per-step displacement below which a trial counts as stopped
+LIMIT_GRAD_TOL = 1e-4  # gradient gate for matching a limit to the catalogue
 DEFAULT_BOX = 2.0
 DET_THRESHOLD = 1e-12
 
@@ -100,17 +106,12 @@ _CLASS_OF = {
 }
 
 
-def classify_limit(
-    record: TrajectoryRecord,
-    entry: CataloguedObjective,
-    radius: float = SADDLE_DIST_TOL,
-    grad_tol: float = 1e-4,
-) -> str:
+def classify_limit(record: TrajectoryRecord, entry: CataloguedObjective) -> str:
     """Match a finished trajectory's tail against the catalogue.
 
-    Returns the catalogued class when the tail iterate has small
-    gradient and sits within `radius` of a catalogued critical
-    point/family.  A strict-saddle verdict additionally requires
+    Returns the catalogued class when the tail iterate has gradient
+    below LIMIT_GRAD_TOL and sits within SADDLE_DIST_TOL of a catalogued
+    critical point/family.  A strict-saddle verdict additionally requires
     gradient < 1e-8 and distance < 1e-3 over the final 50 stored
     iterates (transient proximity under vanishing steps must not count).
     """
@@ -122,10 +123,10 @@ def classify_limit(
     final = tail[-1]
     if not np.all(np.isfinite(final)):
         return "diverged"
-    if float(entry.gradient_norm(final)) >= grad_tol:
+    if float(entry.gradient_norm(final)) >= LIMIT_GRAD_TOL:
         return "undecided"
     nearest, dist = entry.nearest_critical(final)
-    if nearest is None or dist >= radius:
+    if nearest is None or dist >= SADDLE_DIST_TOL:
         return "undecided"
     verdict = _CLASS_OF[nearest.classification]
     if verdict != "converged_strict_saddle":
@@ -155,10 +156,12 @@ def _evolve_batch(
 ):
     """Evolve a batch of trajectories with per-trial stopping.
 
-    Semantically one run_trajectory per row (the update maps are
-    vectorized elementwise over rows, so batching reproduces the
-    per-trial iterates bitwise); storage is limited to the trailing
-    tail_len iterates per trial.  Returns (tails, steps, status).
+    Semantically one run_trajectory per row: the gd, rgd and pp update
+    maps act row by row (pp freezes each row once its own Newton
+    residual meets tolerance), so a row's iterates are bitwise those of
+    its own run, whatever else shares the batch.  Storage is limited to
+    the trailing tail_len iterates per trial.  Returns (tails, steps,
+    status).
     """
     X = np.array(X0, dtype=float)
     N, d = X.shape
@@ -304,6 +307,36 @@ def _initial_points(
     return out
 
 
+def _probe_points(probes: Sequence, entry: CataloguedObjective) -> np.ndarray:
+    """Probe starts as a (len(probes), d) array; a wrong shape raises."""
+    P0 = np.empty((len(probes), entry.dim))
+    for j, p in enumerate(probes):
+        p = np.asarray(p, dtype=float)
+        if p.shape != (entry.dim,):
+            raise ValueError(
+                f"probe {j} has shape {p.shape}; {entry.key} needs dimension {entry.dim}"
+            )
+        P0[j] = p
+    return P0
+
+
+def _classify_rows(entry: CataloguedObjective, X0, ring, steps, status):
+    """Yield (verdict, final iterate, final gradient norm) per batch row."""
+    for i, x0 in enumerate(X0):
+        s = int(steps[i])
+        tail = _tail_of(ring, steps, i)
+        rec = TrajectoryRecord(
+            initial=x0,
+            step_indices=np.arange(s - len(tail) + 1, s + 1),
+            iterates=tail,
+            steps_taken=s,
+            classification="diverged" if status[i] == _DIVERGED else "undecided",
+        )
+        final = tail[-1] if len(tail) else x0
+        gn = float(entry.gradient_norm(final)) if np.all(np.isfinite(final)) else math.inf
+        yield classify_limit(rec, entry), final, gn
+
+
 def monte_carlo_avoidance(
     objective_key: str,
     algorithm: str,
@@ -312,10 +345,7 @@ def monte_carlo_avoidance(
     seed: int,
     box: float = DEFAULT_BOX,
     max_steps: Optional[int] = None,
-    stop_tol: float = 1e-12,
     probes: Sequence = (),
-    radius: float = SADDLE_DIST_TOL,
-    grad_tol: float = 1e-4,
 ) -> AvoidanceReport:
     """Random-initialization avoidance experiment for one cell.
 
@@ -323,19 +353,23 @@ def monte_carlo_avoidance(
     the sphere for sphere objectives) with per-trial substreams of
     `seed`, evolves them under the algorithm, classifies the limits, and
     reports counts and any saddle hits.  `probes` are extra
-    initializations (e.g. points placed on a stable manifold) reported
-    separately and not counted.
+    initializations (e.g. points placed on a stable manifold); they join
+    the trials' batch but are reported separately and not counted.  An
+    explicit-list schedule caps the run at its length.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     entry = get(objective_key)
+    P0 = _probe_points(probes, entry)
     validate_cell(entry, algorithm, schedule)
     system = build_system(entry, algorithm, schedule)
     if max_steps is None:
         max_steps = default_max_steps(schedule)
+    if schedule.family == "explicit_list":
+        max_steps = min(max_steps, len(schedule.values))
 
-    X0 = _initial_points(entry, trials, seed, box)
-    ring, steps, status = _evolve_batch(system, X0, max_steps, stop_tol)
+    X0 = np.vstack([_initial_points(entry, trials, seed, box), P0])
+    ring, steps, status = _evolve_batch(system, X0, max_steps, STOP_TOL)
 
     counts = {
         "converged_minimizer": 0,
@@ -346,57 +380,18 @@ def monte_carlo_avoidance(
     }
     saddle_hits = []
     rows = []
-
-    def classify_row(i, x0):
-        tail = _tail_of(ring, steps, i)
-        base_class = "diverged" if status[i] == _DIVERGED else "undecided"
-        rec = TrajectoryRecord(
-            initial=x0,
-            step_indices=np.arange(int(steps[i]) - len(tail) + 1, int(steps[i]) + 1),
-            iterates=tail,
-            steps_taken=int(steps[i]),
-            classification=base_class,
-        )
-        cls = classify_limit(rec, entry, radius=radius, grad_tol=grad_tol)
-        final = tail[-1] if len(tail) else x0
-        gn = float(entry.gradient_norm(final)) if np.all(np.isfinite(final)) else math.inf
-        return cls, final, gn
-
-    for i in range(trials):
-        cls, final, gn = classify_row(i, X0[i])
-        counts[cls] += 1
-        rows.append((i, X0[i].tolist(), cls, int(steps[i]), gn))
-        if cls == "converged_strict_saddle":
-            saddle_hits.append(
-                {"trial": i, "x0": X0[i].tolist(), "limit": final.tolist()}
-            )
-
     probe_results = []
-    if len(probes):
-        P0 = np.array([np.asarray(p, dtype=float) for p in probes])
-        pring, psteps, pstatus = _evolve_batch(system, P0, max_steps, stop_tol)
-        for i in range(len(P0)):
-            tail = _tail_of(pring, psteps, i)
-            base_class = "diverged" if pstatus[i] == _DIVERGED else "undecided"
-            rec = TrajectoryRecord(
-                initial=P0[i],
-                step_indices=np.arange(
-                    int(psteps[i]) - len(tail) + 1, int(psteps[i]) + 1
-                ),
-                iterates=tail,
-                steps_taken=int(psteps[i]),
-                classification=base_class,
-            )
-            cls = classify_limit(rec, entry, radius=radius, grad_tol=grad_tol)
-            final = tail[-1] if len(tail) else P0[i]
+    for i, (cls, final, gn) in enumerate(_classify_rows(entry, X0, ring, steps, status)):
+        x0 = X0[i].tolist()
+        if i >= trials:
             probe_results.append(
-                {
-                    "x0": P0[i].tolist(),
-                    "classification": cls,
-                    "limit": final.tolist(),
-                    "steps": int(psteps[i]),
-                }
+                {"x0": x0, "classification": cls, "limit": final.tolist(), "steps": int(steps[i])}
             )
+            continue
+        counts[cls] += 1
+        rows.append((i, x0, cls, int(steps[i]), gn))
+        if cls == "converged_strict_saddle":
+            saddle_hits.append({"trial": i, "x0": x0, "limit": final.tolist()})
 
     return AvoidanceReport(
         objective_key=objective_key,
@@ -513,7 +508,7 @@ def luzin_scan(
         elif algorithm == "rgd":
             from .optimizers import tangent_basis
 
-            sys_ = rgd_system(entry.objective, _const_like(alpha))
+            sys_ = rgd_system(entry.objective, constant_schedule(alpha))
             smap = sys_.map_at(0)
             dets = np.empty(x_samples)
             for i in range(x_samples):
@@ -544,6 +539,3 @@ def luzin_scan(
         threshold=threshold,
     )
 
-
-def _const_like(alpha: float) -> Schedule:
-    return Schedule("constant", alpha)

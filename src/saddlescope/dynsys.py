@@ -9,8 +9,7 @@ both a single point of shape (d,) and a batch of shape (N, d).
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -19,10 +18,6 @@ DEFAULT_STORE_CAP = 10_000
 DEFAULT_STORE_STRIDE = 100
 DEFAULT_TAIL = 60
 DEFAULT_DIVERGENCE_RADIUS = 1e8
-
-
-class NonFiniteIterate(RuntimeError):
-    """A trajectory produced a NaN or infinite coordinate."""
 
 
 class OutsideChart(RuntimeError):
@@ -106,20 +101,6 @@ class Splitting:
     @classmethod
     def from_columns(cls, B_cs: np.ndarray, B_u: np.ndarray) -> "Splitting":
         return cls(np.asarray(B_cs).T, np.asarray(B_u).T)
-
-
-def max_norm(splitting: Splitting, x: np.ndarray) -> float:
-    """The splitting-induced norm max(||y||, ||z||) of a single point."""
-    return float(splitting.max_norm(x))
-
-
-CLASSIFICATIONS = (
-    "converged_minimizer",
-    "converged_strict_saddle",
-    "converged_other_critical",
-    "diverged",
-    "undecided",
-)
 
 
 @dataclass

@@ -201,18 +201,24 @@ def prox_solve(
     """Solve z + alpha grad f(z) = x by Newton, warm-started at x.
 
     The Newton matrix I + alpha hess f(z) is positive definite for
-    alpha < 1/L, so the iteration is well posed; residuals are checked
-    before each update so exact fixed points return their input bitwise.
+    alpha < 1/L, so the iteration is well posed.  Residuals are checked
+    before each update, and a row stops updating once its own residual
+    meets inner_tol, so every row of a batch gets the bits it would get
+    alone and exact fixed points return their input bitwise.
     """
     X = np.asarray(X, dtype=float)
     Z = X.copy()
     eye = np.eye(X.shape[-1])
     for _ in range(max_iter + 1):
         F = Z + alpha * np.asarray(objective.grad(Z), dtype=float) - X
-        if float(np.max(np.linalg.norm(F, axis=-1), initial=0.0)) <= inner_tol:
+        done = np.linalg.norm(F, axis=-1) <= inner_tol
+        if done.all():
             return Z
         J = eye + alpha * np.asarray(objective.hess(Z), dtype=float)
-        Z = Z - solve_small(J, F)
+        step = solve_small(J, F)
+        if done.ndim:
+            step[done] = 0.0
+        Z = Z - step
     raise InnerSolveFailed(
         f"proximal Newton residual above {inner_tol:g} after {max_iter} steps; "
         "check the declared Lipschitz constant"

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .dynsys import Splitting, SystemMap
 
@@ -331,20 +330,14 @@ class SpectralData:
         order = np.argsort(w)[::-1]
         return cls(eigenvalues=w[order], eigenvectors=V[:, order])
 
-    def validate_against(self, H: np.ndarray, tol: float = 1e-8) -> None:
-        H = np.asarray(H, dtype=float)
-        resid = H @ self.eigenvectors - self.eigenvectors * self.eigenvalues
-        if np.max(np.abs(resid)) > tol:
-            raise ValueError("eigenpairs do not reproduce the Hessian")
-        if np.any(np.diff(self.eigenvalues) > 0):
-            raise ValueError("eigenvalues must be sorted descending")
-
 
 # --- sampled Lipschitz constants and the bump globalization -----------------
 
 
 def _sobol_cube(n: int, dim: int, seed: Optional[int]) -> np.ndarray:
     """n Sobol points in [-1, 1]^dim (drawn in power-of-two blocks)."""
+    from scipy.stats import qmc  # imported here: scipy.stats costs ~1 s to import
+
     sob = qmc.Sobol(dim, scramble=seed is not None, seed=seed)
     m = max(1, math.ceil(math.log2(max(n, 1))))
     u = sob.random_base2(m)

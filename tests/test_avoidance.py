@@ -1,8 +1,13 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from saddlescope import avoidance
 from saddlescope.avoidance import (
     AvoidanceReport,
+    build_system,
     classify_limit,
     default_max_steps,
     luzin_scan,
@@ -17,6 +22,7 @@ from saddlescope.phcert import (
     StepTooLarge,
     constant_schedule,
     cosine_schedule,
+    explicit_schedule,
     polynomial_schedule,
 )
 from saddlescope.testfns import get
@@ -76,6 +82,32 @@ def test_batch_matches_run_trajectory_bitwise():
     system = gd_system(entry.objective, sched)
     rng = np.random.default_rng(5)
     X0 = rng.uniform(-2, 2, size=(7, 2))
+    ring, steps, status = _evolve_batch(
+        system, X0, max_steps=300, stop_tol=1e-9, window=12, tail_len=20
+    )
+    for i in range(7):
+        rec = run_trajectory(
+            system, X0[i], max_steps=300, stop_tol=1e-9, window=12, tail=20
+        )
+        assert rec.steps_taken == int(steps[i])
+        from saddlescope.avoidance import _tail_of
+
+        tail = _tail_of(ring, steps, i)
+        np.testing.assert_array_equal(tail, rec.tail(len(tail)))
+
+
+@pytest.mark.parametrize(
+    "key, algo, alpha0",
+    [("double_well", "pp", 0.5 / 26), ("rayleigh_sphere", "rgd", 0.4)],
+    ids=["pp", "rgd"],
+)
+def test_batch_matches_run_trajectory_bitwise_per_algorithm(key, algo, alpha0):
+    entry = get(key)
+    system = build_system(entry, algo, polynomial_schedule(alpha0, 0.5))
+    rng = np.random.default_rng(5)
+    X0 = rng.uniform(-2, 2, size=(7, entry.dim))
+    if entry.is_sphere:
+        X0 /= np.linalg.norm(X0, axis=1, keepdims=True)
     ring, steps, status = _evolve_batch(
         system, X0, max_steps=300, stop_tol=1e-9, window=12, tail_len=20
     )
@@ -197,6 +229,76 @@ def test_monte_carlo_deterministic_outputs():
     b = monte_carlo_avoidance(**kwargs)
     assert a.to_json() == b.to_json()
     assert a.to_csv() == b.to_csv()
+
+
+# The stable-set probe (0, 0.5) of double_well as the parent engine, which
+# evolved probes in a batch of their own, reported it for
+# trials=16, seed=3, max_steps=3000.
+PROBE_BY_ALGO = {
+    "gd": (0.5, {"x0": [0.0, 0.5], "classification": "converged_strict_saddle",
+                 "limit": [0.0, 1.5777218104420236e-30], "steps": 98}),
+    "pp": (0.5 / 26, {"x0": [0.0, 0.5], "classification": "converged_strict_saddle",
+                      "limit": [0.0, 5.176439748594269e-11], "steps": 1266}),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(PROBE_BY_ALGO))
+def test_probes_leave_the_trials_unchanged(algo, monkeypatch):
+    alpha, expected_probe = PROBE_BY_ALGO[algo]
+    kwargs = dict(
+        objective_key="double_well",
+        algorithm=algo,
+        schedule=constant_schedule(alpha),
+        trials=16,
+        seed=3,
+        max_steps=3000,
+    )
+    calls = []
+    engine = avoidance._evolve_batch
+
+    def counted(*args, **kw):
+        calls.append(len(args[1]))
+        return engine(*args, **kw)
+
+    monkeypatch.setattr(avoidance, "_evolve_batch", counted)
+    plain = monte_carlo_avoidance(**kwargs)
+    probed = monte_carlo_avoidance(**kwargs, probes=[np.array([0.0, 0.5])])
+    assert calls == [16, 17]  # one batch per cell, the probe included
+    assert probed.rows == plain.rows
+    assert probed.counts == plain.counts
+    assert probed.saddle_hits == plain.saddle_hits
+    assert probed.stable_set_probe == [expected_probe]
+
+
+def test_explicit_list_cell_stops_at_the_list_end():
+    report = monte_carlo_avoidance(
+        "double_well", "gd", explicit_schedule([1.0] * 1200), trials=8, seed=0
+    )
+    assert report.counts["undecided"] == 6
+    assert report.counts["diverged"] == 2
+    assert max(row[3] for row in report.rows) == 1200
+
+
+@pytest.mark.parametrize("probe", [[0.0, 0.5, 1.0], [0.5], 0.5])
+def test_probe_dimension_checked_before_any_trial(probe, monkeypatch):
+    def no_engine(*args, **kw):
+        raise AssertionError("trials evolved before the probe check")
+
+    monkeypatch.setattr(avoidance, "_evolve_batch", no_engine)
+    with pytest.raises(ValueError, match="needs dimension 2"):
+        monte_carlo_avoidance(
+            "double_well", "gd", constant_schedule(0.5), trials=4, seed=0, probes=[probe]
+        )
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import and only the Sobol
+    # sampler of the Lipschitz estimates needs it
+    code = "import sys, saddlescope; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_run_matrix_orders_results():

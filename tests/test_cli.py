@@ -246,6 +246,28 @@ def test_avoid_small_run(capsys, tmp_path):
     assert (tmp_path / "avoid" / "double_well_gd_constant.csv").exists()
 
 
+def test_avoid_probe_dimension_config_error(capsys):
+    code, out, err = run_cli(
+        [
+            "avoid",
+            "--objective",
+            "double_well",
+            "--algo",
+            "gd",
+            "--schedule",
+            "const:0.5",
+            "--trials",
+            "4",
+            "--init-on",
+            "0,0.5,1",
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert "shape (3,)" in err and "needs dimension 2" in err
+
+
 def test_avoid_zero_trials_config_error(capsys):
     code, _, _ = run_cli(
         [

@@ -11,7 +11,6 @@ from saddlescope.dynsys import (
     Splitting,
     SystemMap,
     counterexample_product,
-    max_norm,
     run_trajectory,
 )
 
@@ -120,8 +119,8 @@ def test_trajectory_json_roundtrip():
 
 def test_max_norm_axes():
     sp = Splitting([np.array([1.0, 0.0])], [np.array([0.0, 1.0])])
-    assert max_norm(sp, np.array([3.0, -4.0])) == 4.0
-    assert max_norm(sp, np.zeros(2)) == 0.0
+    assert sp.max_norm(np.array([3.0, -4.0])) == 4.0
+    assert sp.max_norm(np.zeros(2)) == 0.0
 
 
 def test_max_norm_rotated_splitting():
@@ -134,7 +133,7 @@ def test_max_norm_rotated_splitting():
     P_cs = np.outer(e_cs, e_cs)
     P_u = np.outer(e_u, e_u)
     brute = max(np.linalg.norm(P_cs @ x), np.linalg.norm(P_u @ x))
-    got = max_norm(sp, x)
+    got = sp.max_norm(x)
     assert got == pytest.approx(brute, abs=1e-15)
     assert got == pytest.approx(0.7071067811865476, abs=1e-15)
 
