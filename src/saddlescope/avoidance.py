@@ -1,7 +1,8 @@
 """Monte Carlo verification of strict-saddle avoidance, plus the sampled
 full-rank (Luzin N^-1) scan.
 
-Random initializations are evolved in one vectorized batch per cell,
+Random initializations are evolved in one vectorized batch per cell
+(one call into dynsys.evolve_batch, the engine behind run_trajectory),
 with any stable-set probes stacked under the trials, and every row is
 classified against the objective catalogue by the same helper; only the
 trial rows are counted.  Rows are independent (the per-trial random
@@ -24,11 +25,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynsys import (
-    DEFAULT_DIVERGENCE_RADIUS,
-    OutsideChart,
-    TrajectoryRecord,
-)
+from .dynsys import DIVERGED, TrajectoryRecord, tail_of
+from .dynsys import evolve_batch as _evolve_batch
 from .optimizers import gd_system, pp_system, prox_solve, rgd_system
 from .phcert import (
     Schedule,
@@ -140,102 +138,6 @@ def classify_limit(record: TrajectoryRecord, entry: CataloguedObjective) -> str:
     return "undecided"
 
 
-# --- batched trajectory evolution ----------------------------------------------
-
-_ACTIVE, _STOPPED, _DIVERGED, _CHART = 0, 1, 2, 3
-
-
-def _evolve_batch(
-    system,
-    X0: np.ndarray,
-    max_steps: int,
-    stop_tol: float,
-    window: int = STOP_WINDOW,
-    tail_len: int = STOP_WINDOW,
-    divergence_radius: float = DEFAULT_DIVERGENCE_RADIUS,
-):
-    """Evolve a batch of trajectories with per-trial stopping.
-
-    Semantically one run_trajectory per row: the gd, rgd and pp update
-    maps act row by row (pp freezes each row once its own Newton
-    residual meets tolerance), so a row's iterates are bitwise those of
-    its own run, whatever else shares the batch.  Storage is limited to
-    the trailing tail_len iterates per trial.  Returns (tails, steps,
-    status).
-    """
-    X = np.array(X0, dtype=float)
-    N, d = X.shape
-    steps = np.zeros(N, dtype=int)
-    status = np.full(N, _ACTIVE, dtype=int)
-    consec = np.zeros(N, dtype=int)
-    ring = np.full((tail_len, N, d), np.nan)
-    ring[0] = X
-    for k in range(max_steps):
-        idx = np.flatnonzero(status == _ACTIVE)
-        if idx.size == 0:
-            break
-        Xa = X[idx]
-        gk = system.map_at(k)
-        try:
-            X1 = np.asarray(gk.evaluate(Xa), dtype=float)
-        except OutsideChart:
-            # isolate the offending rows; the maps act row-wise, so
-            # re-evaluating singly reproduces the batch values
-            X1 = np.empty_like(Xa)
-            for j, row in enumerate(Xa):
-                try:
-                    X1[j] = gk.evaluate(row)
-                except OutsideChart:
-                    X1[j] = np.nan
-                    status[idx[j]] = _CHART
-                    steps[idx[j]] = k
-            chart = status[idx] == _CHART
-            idx = idx[~chart]
-            if idx.size == 0:
-                continue
-            X1 = X1[~chart]
-            Xa = Xa[~chart]
-
-        finite = np.all(np.isfinite(X1), axis=1)
-        small = np.zeros_like(finite)
-        small[finite] = (
-            np.linalg.norm(X1[finite], axis=1) <= divergence_radius
-        )
-        ok = finite & small
-        diverged = idx[~ok]
-        status[diverged] = _DIVERGED
-        steps[diverged] = k + 1
-        keep_finite = ~ok & finite
-        if np.any(keep_finite):
-            rows = idx[keep_finite]
-            X[rows] = X1[keep_finite]
-            ring[(k + 1) % tail_len, rows] = X1[keep_finite]
-        # non-finite blow-ups: poison the newest ring slot so the tail
-        # ends at the last finite state instead of a stale wrapped value
-        bad_rows = idx[~finite]
-        if bad_rows.size:
-            ring[(k + 1) % tail_len, bad_rows] = np.nan
-
-        alive = idx[ok]
-        Xn = X1[ok]
-        disp = np.linalg.norm(Xn - Xa[ok], axis=1)
-        consec[alive] = np.where(disp < stop_tol, consec[alive] + 1, 0)
-        X[alive] = Xn
-        steps[alive] = k + 1
-        ring[(k + 1) % tail_len, alive] = Xn
-        done = alive[consec[alive] >= window]
-        status[done] = _STOPPED
-    return ring, steps, status
-
-
-def _tail_of(ring: np.ndarray, steps: np.ndarray, i: int) -> np.ndarray:
-    tail_len = ring.shape[0]
-    s = int(steps[i])
-    ts = np.arange(max(0, s - tail_len + 1), s + 1)
-    out = ring[ts % tail_len, i]
-    return out[np.all(np.isfinite(out), axis=1)]
-
-
 # --- reports --------------------------------------------------------------------
 
 
@@ -323,14 +225,13 @@ def _probe_points(probes: Sequence, entry: CataloguedObjective) -> np.ndarray:
 def _classify_rows(entry: CataloguedObjective, X0, ring, steps, status):
     """Yield (verdict, final iterate, final gradient norm) per batch row."""
     for i, x0 in enumerate(X0):
-        s = int(steps[i])
-        tail = _tail_of(ring, steps, i)
+        ks, tail = tail_of(ring, steps, i)
         rec = TrajectoryRecord(
             initial=x0,
-            step_indices=np.arange(s - len(tail) + 1, s + 1),
+            step_indices=ks,
             iterates=tail,
-            steps_taken=s,
-            classification="diverged" if status[i] == _DIVERGED else "undecided",
+            steps_taken=int(steps[i]),
+            classification="diverged" if status[i] == DIVERGED else "undecided",
         )
         final = tail[-1] if len(tail) else x0
         gn = float(entry.gradient_norm(final)) if np.all(np.isfinite(final)) else math.inf
@@ -369,7 +270,9 @@ def monte_carlo_avoidance(
         max_steps = min(max_steps, len(schedule.values))
 
     X0 = np.vstack([_initial_points(entry, trials, seed, box), P0])
-    ring, steps, status = _evolve_batch(system, X0, max_steps, STOP_TOL)
+    ring, steps, status, _ = _evolve_batch(
+        system, X0, max_steps, STOP_TOL, window=STOP_WINDOW, tail_len=STOP_WINDOW
+    )
 
     counts = {
         "converged_minimizer": 0,

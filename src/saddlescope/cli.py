@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -53,7 +54,15 @@ class ConfigError(Exception):
     pass
 
 
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a vector such as -1,0.5 is a value, not an option
+        self._negative_number_matcher = re.compile(rf"^-{_NUMBER}(?:,[-+]?{_NUMBER})*$")
+
     # argparse exits 2 on bad flags by default; the contract is exit 1
     def error(self, message):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")

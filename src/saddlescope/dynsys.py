@@ -4,11 +4,17 @@ A system is a sequence of update maps g_0, g_1, ... applied as
 x_{k+1} = g_k(x_k).  Everything here is plain numpy; update maps are
 expected to be vectorized over leading axes, i.e. evaluate() accepts
 both a single point of shape (d,) and a batch of shape (N, d).
+
+One stepping engine, evolve_batch, iterates a batch of rows with
+per-row stop, divergence and chart rules.  run_trajectory is a one-row
+call into it that keeps a sampled history; the Monte Carlo cells call
+it with every trial and probe as a row and keep only the tails.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -17,14 +23,14 @@ import numpy as np
 DEFAULT_STORE_CAP = 10_000
 DEFAULT_STORE_STRIDE = 100
 DEFAULT_TAIL = 60
-DEFAULT_DIVERGENCE_RADIUS = 1e8
+DIVERGENCE_RADIUS = 1e8  # a finite iterate beyond this norm has diverged
 
 
 class OutsideChart(RuntimeError):
     """An iterate of a lifted (tangent-space) system left the chart domain.
 
-    Raised by tangent-space lifts of manifold systems; run_trajectory
-    catches it and marks the trajectory undecided.
+    Raised by tangent-space lifts of manifold systems; evolve_batch
+    catches it and ends that row, undecided, at its last state.
     """
 
 
@@ -144,6 +150,108 @@ class TrajectoryRecord:
         return json.dumps(payload, sort_keys=True)
 
 
+# --- the stepping engine ----------------------------------------------------------
+
+ACTIVE, STOPPED, DIVERGED, LEFT_CHART = 0, 1, 2, 3  # row status codes
+
+
+def evolve_batch(
+    system: NonAutonomousSystem,
+    X0: np.ndarray,
+    max_steps: int,
+    stop_tol: float,
+    window: int,
+    tail_len: int,
+    store_cap: int = 0,
+    store_stride: int = 0,
+):
+    """Iterate every row of X0 under the system, each with its own stops.
+
+    A row is STOPPED after `window` consecutive steps with
+    ||x_{k+1} - x_k|| < stop_tol, DIVERGED on a non-finite coordinate or
+    a norm beyond DIVERGENCE_RADIUS, LEFT_CHART (at its last state) when
+    its map raises OutsideChart, and otherwise ACTIVE after max_steps
+    steps.  The gd, rgd and pp maps act row by row, so a row's iterates
+    are bitwise those of a one-row run, whatever else shares the batch.
+
+    Returns (ring, steps, status, history): ring[k % tail_len, i] is x_k
+    of row i over its last tail_len steps (read it with tail_of),
+    steps[i] counts the maps applied to row i, and history holds x_k for
+    every k <= store_cap and every store_stride-th k beyond (stride 0:
+    none).  ring and history may hold the non-finite state of a blow-up.
+    """
+    Xa = np.array(X0, dtype=float)
+    N, d = Xa.shape
+    steps = np.full(N, max_steps)
+    status = np.full(N, ACTIVE)
+    ring = np.full((tail_len, N, d), np.nan)
+    ring[0] = Xa
+    n_hist = min(max_steps, store_cap) + 1
+    if store_stride and max_steps > store_cap:
+        n_hist += max_steps // store_stride - store_cap // store_stride
+    history = np.full((n_hist, N, d), np.nan)
+    history[0] = Xa
+    h = 0
+    # Xa, idx and run hold the active rows only; they are re-gathered
+    # when a row leaves, and until then every write is a plain slice
+    idx, rows = np.arange(N), slice(None)
+    run = np.zeros(N, dtype=int)  # consecutive steps below stop_tol
+    top = 0  # max(run)
+    for k in range(max_steps):
+        gk = system.map_at(k)
+        try:
+            X1 = np.asarray(gk.evaluate(Xa), dtype=float)
+        except OutsideChart:
+            # the maps act row-wise, so evaluating singly isolates the
+            # offending rows and reproduces the batch values
+            X1 = np.empty_like(Xa)
+            out = np.zeros(len(Xa), dtype=bool)
+            for j, row in enumerate(Xa):
+                try:
+                    X1[j] = gk.evaluate(row)
+                except OutsideChart:
+                    out[j] = True
+            status[idx[out]] = LEFT_CHART
+            steps[idx[out]] = k
+            idx, rows, Xa, X1, run = idx[~out], idx[~out], Xa[~out], X1[~out], run[~out]
+            if not idx.size:
+                break
+        k1 = k + 1
+        ring[k1 % tail_len, rows] = X1
+        if k1 <= store_cap or (store_stride and k1 % store_stride == 0):
+            h += 1
+            history[h, rows] = X1
+        D = X1 - Xa
+        small = np.sqrt(np.add.reduce(D * D, axis=1)) < stop_tol
+        if top or np.count_nonzero(small):
+            run = np.where(small, run + 1, 0)
+            top = np.maximum.reduce(run)
+        sq = np.add.reduce(X1 * X1, axis=1)
+        # max(norm) <= R, as sqrt is monotone; a NaN norm fails it
+        if not math.sqrt(np.maximum.reduce(sq)) <= DIVERGENCE_RADIUS or top >= window:
+            stop = run >= window
+            bad = ~(np.sqrt(sq) <= DIVERGENCE_RADIUS)
+            status[idx[stop]] = STOPPED
+            status[idx[bad]] = DIVERGED  # a blow-up wins over a stop
+            leave = stop | bad
+            steps[idx[leave]] = k1
+            idx, rows, X1, run = idx[~leave], idx[~leave], X1[~leave], run[~leave]
+            if not idx.size:
+                break
+            top = np.maximum.reduce(run)
+        Xa = X1
+    return ring, steps, status, history
+
+
+def tail_of(ring: np.ndarray, steps: np.ndarray, i: int):
+    """(step indices, states) of row i's finite ring entries, oldest first."""
+    tail_len = ring.shape[0]
+    ks = np.arange(max(0, int(steps[i]) - tail_len + 1), int(steps[i]) + 1)
+    X = ring[ks % tail_len, i]
+    finite = np.all(np.isfinite(X), axis=1)
+    return ks[finite], X[finite]
+
+
 def run_trajectory(
     system: NonAutonomousSystem,
     x0: np.ndarray,
@@ -153,80 +261,45 @@ def run_trajectory(
     store_cap: int = DEFAULT_STORE_CAP,
     store_stride: int = DEFAULT_STORE_STRIDE,
     tail: int = DEFAULT_TAIL,
-    divergence_radius: float = DEFAULT_DIVERGENCE_RADIUS,
 ) -> TrajectoryRecord:
     """Iterate the system from x0 and record the trajectory.
 
-    Stops after max_steps, or once ||x_{k+1} - x_k|| < stop_tol for
-    `window` consecutive steps, or on blow-up (non-finite coordinate or
-    norm beyond divergence_radius, classification "diverged").  Storage
-    keeps every iterate up to store_cap steps, every store_stride-th one
-    beyond that, plus the trailing max(window, tail) iterates.
-
-    Classification is "undecided" unless the trajectory diverged; use a
-    downstream classifier to resolve limits against a catalogue.
+    A one-row evolve_batch, with its stop and divergence rules; a
+    diverged trajectory is classified "diverged", any other "undecided"
+    (resolve limits against a catalogue downstream).  Storage keeps every
+    iterate up to store_cap steps, every store_stride-th one beyond that,
+    the trailing max(window, tail) finite iterates and a finite blow-up.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     if stop_tol <= 0:
         raise ValueError("stop_tol must be positive")
+    if store_stride < 1:
+        raise ValueError("store_stride must be >= 1")
 
-    x = np.asarray(x0, dtype=float).copy()
-    keep_tail = max(window, tail)
-    stored: list[tuple[int, np.ndarray]] = [(0, x.copy())]
-    ring: list[tuple[int, np.ndarray]] = [(0, x.copy())]
-    consecutive = 0
-    classification = "undecided"
-    limit: Optional[np.ndarray] = None
-    steps_taken = 0
-
-    for k in range(max_steps):
-        gk = system.map_at(k)
-        try:
-            x1 = np.asarray(gk.evaluate(x), dtype=float)
-        except OutsideChart:
-            classification = "undecided"
-            limit = x.copy()
-            break
-        steps_taken = k + 1
-        bad = not np.all(np.isfinite(x1))
-        if not bad and float(np.linalg.norm(x1)) > divergence_radius:
-            bad = True
-        if bad:
-            classification = "diverged"
-            limit = None
-            if np.all(np.isfinite(x1)):
-                ring.append((k + 1, x1.copy()))
-            x = x1
-            break
-        if k + 1 <= store_cap or (k + 1) % store_stride == 0:
-            stored.append((k + 1, x1.copy()))
-        ring.append((k + 1, x1.copy()))
-        if len(ring) > keep_tail:
-            ring.pop(0)
-        if float(np.linalg.norm(x1 - x)) < stop_tol:
-            consecutive += 1
-        else:
-            consecutive = 0
-        x = x1
-        if consecutive >= window:
-            limit = x.copy()
-            break
-    else:
-        limit = x.copy() if np.all(np.isfinite(x)) else None
-
-    merged = {k: v for k, v in stored}
-    merged.update({k: v for k, v in ring})
-    ks = sorted(merged)
-    record = TrajectoryRecord(
-        initial=np.asarray(x0, dtype=float).copy(),
-        step_indices=np.array(ks, dtype=int),
-        iterates=np.array([merged[k] for k in ks]),
-        steps_taken=steps_taken,
-        classification=classification,
-        limit_estimate=limit,
+    x0 = np.asarray(x0, dtype=float)
+    keep = max(window, tail)
+    # a spare ring slot: a non-finite blow-up still leaves `keep` states
+    ring, steps, status, history = evolve_batch(
+        system, x0.reshape(1, -1), max_steps, stop_tol, window, keep + 1, store_cap, store_stride
     )
-    return record
+    diverged = status[0] == DIVERGED
+    tail_ks, tail_X = tail_of(ring, steps, 0)
+    if not diverged:
+        tail_ks, tail_X = tail_ks[-keep:], tail_X[-keep:]
+    ks = np.arange(steps[0] + 1)
+    ks = ks[(ks <= store_cap) | (ks % store_stride == 0)]
+    X = history[: len(ks), 0]
+    finite = np.all(np.isfinite(X), axis=1)
+    ks, first = np.unique(np.concatenate([ks[finite], tail_ks]), return_index=True)
+    return TrajectoryRecord(
+        initial=x0.copy(),
+        step_indices=ks,
+        iterates=np.concatenate([X[finite], tail_X])[first],
+        steps_taken=int(steps[0]),
+        classification="diverged" if diverged else "undecided",
+        limit_estimate=None if diverged else tail_X[-1],
+    )
 
 
 def counterexample_product() -> np.ndarray:

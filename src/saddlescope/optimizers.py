@@ -190,6 +190,8 @@ def rgd_system(objective: SphereObjective, schedule: Schedule) -> NonAutonomousS
 
 # --- proximal point ----------------------------------------------------------
 
+_ROUNDING_FLOOR = 8.0 * np.finfo(float).eps  # relative residual floor of z + a grad f(z) - x
+
 
 def prox_solve(
     objective: Objective,
@@ -203,15 +205,18 @@ def prox_solve(
     The Newton matrix I + alpha hess f(z) is positive definite for
     alpha < 1/L, so the iteration is well posed.  Residuals are checked
     before each update, and a row stops updating once its own residual
-    meets inner_tol, so every row of a batch gets the bits it would get
+    meets max(inner_tol, 8 eps ||x||), the rounding floor of the residual
+    for large x; so every row of a batch gets the bits it would get
     alone and exact fixed points return their input bitwise.
     """
     X = np.asarray(X, dtype=float)
     Z = X.copy()
     eye = np.eye(X.shape[-1])
+    # sqrt(sum of squares): the bits of np.linalg.norm without its overhead
+    tol = np.maximum(inner_tol, _ROUNDING_FLOOR * np.sqrt(np.add.reduce(X * X, axis=-1)))
     for _ in range(max_iter + 1):
         F = Z + alpha * np.asarray(objective.grad(Z), dtype=float) - X
-        done = np.linalg.norm(F, axis=-1) <= inner_tol
+        done = np.sqrt(np.add.reduce(F * F, axis=-1)) <= tol
         if done.all():
             return Z
         J = eye + alpha * np.asarray(objective.hess(Z), dtype=float)

@@ -176,6 +176,8 @@ def schedule_sup(schedule: Schedule) -> float:
     if schedule.family == "constant":
         return schedule.alpha0
     _check_gamma_range(schedule)
+    if schedule.family == "polynomial":
+        return schedule.alpha0  # alpha0 / (k+1)^gamma decreases
     # envelope alpha0 * 2 / (k+1)^gamma decays below any current max
     best = schedule.alpha0
     k = 1
@@ -244,8 +246,11 @@ def check_admissible(
         # condition (i) on I_cs needs alpha_k <= 2 / h_max from K on
         bound = 2.0 / float(np.max(pos))
         if schedule.family == "polynomial":
-            # alpha_k monotonically decreasing
-            K = 0
+            # alpha_k decreases: the closed-form K, corrected for rounding
+            ratio = schedule.alpha0 / bound
+            K = max(0, math.ceil(ratio ** (1.0 / schedule.gamma)) - 1)
+            while K > 0 and step_size(schedule, K - 1) <= bound:
+                K -= 1
             while step_size(schedule, K) > bound:
                 K += 1
         else:
@@ -497,7 +502,9 @@ def estimate_radius(
     H0 = np.asarray(hessian(np.zeros(dim)), dtype=float)
     euclid = lambda v: np.linalg.norm(v, axis=-1)
 
-    base = _sobol_cube(samples, dim, seed=None)
+    # with the axis endpoints +-e_i, where a modulus such as 3 x_1^2 peaks
+    eye = np.eye(dim)
+    base = np.vstack([_sobol_cube(samples, dim, seed=None), eye, -eye])
 
     def omega(radius: float) -> float:
         pts = _to_ball(base, radius, euclid)

@@ -16,7 +16,7 @@ from saddlescope.avoidance import (
     validate_cell,
     _evolve_batch,
 )
-from saddlescope.dynsys import TrajectoryRecord, run_trajectory
+from saddlescope.dynsys import TrajectoryRecord, run_trajectory, tail_of
 from saddlescope.optimizers import gd_system
 from saddlescope.phcert import (
     StepTooLarge,
@@ -77,12 +77,13 @@ def test_classify_far_point_undecided():
 
 
 def test_batch_matches_run_trajectory_bitwise():
+    # row independence: each row of a batch is bitwise its own one-row run
     entry = get("double_well")
     sched = polynomial_schedule(0.4, 0.5)
     system = gd_system(entry.objective, sched)
     rng = np.random.default_rng(5)
     X0 = rng.uniform(-2, 2, size=(7, 2))
-    ring, steps, status = _evolve_batch(
+    ring, steps, status, _ = _evolve_batch(
         system, X0, max_steps=300, stop_tol=1e-9, window=12, tail_len=20
     )
     for i in range(7):
@@ -90,9 +91,7 @@ def test_batch_matches_run_trajectory_bitwise():
             system, X0[i], max_steps=300, stop_tol=1e-9, window=12, tail=20
         )
         assert rec.steps_taken == int(steps[i])
-        from saddlescope.avoidance import _tail_of
-
-        tail = _tail_of(ring, steps, i)
+        _, tail = tail_of(ring, steps, i)
         np.testing.assert_array_equal(tail, rec.tail(len(tail)))
 
 
@@ -108,7 +107,7 @@ def test_batch_matches_run_trajectory_bitwise_per_algorithm(key, algo, alpha0):
     X0 = rng.uniform(-2, 2, size=(7, entry.dim))
     if entry.is_sphere:
         X0 /= np.linalg.norm(X0, axis=1, keepdims=True)
-    ring, steps, status = _evolve_batch(
+    ring, steps, status, _ = _evolve_batch(
         system, X0, max_steps=300, stop_tol=1e-9, window=12, tail_len=20
     )
     for i in range(7):
@@ -116,38 +115,31 @@ def test_batch_matches_run_trajectory_bitwise_per_algorithm(key, algo, alpha0):
             system, X0[i], max_steps=300, stop_tol=1e-9, window=12, tail=20
         )
         assert rec.steps_taken == int(steps[i])
-        from saddlescope.avoidance import _tail_of
-
-        tail = _tail_of(ring, steps, i)
+        _, tail = tail_of(ring, steps, i)
         np.testing.assert_array_equal(tail, rec.tail(len(tail)))
 
 
 def test_batch_tail_ends_at_last_finite_state():
-    # growth to overflow: the ring buffer wraps many times before the
-    # blow-up; a stale slot must not leak into the reported tail
-    from saddlescope.avoidance import _tail_of
-    from saddlescope.dynsys import NonAutonomousSystem, SystemMap
+    # growth by 1 % a step wraps the 60-slot ring about 23 times before
+    # the state turns NaN; a stale slot must not leak into the tail
+    from saddlescope.dynsys import DIVERGED, NonAutonomousSystem, SystemMap
 
     system = NonAutonomousSystem(
-        lambda k: SystemMap(lambda x: 2.0 * np.asarray(x)), 1
+        lambda k: SystemMap(lambda x: np.where(np.abs(x) > 1e6, np.nan, 1.01 * x)), 1
     )
-    X0 = np.array([[1.0]])
-    with np.errstate(over="ignore"):  # the overflow IS the scenario
-        ring, steps, status = _evolve_batch(
-            system,
-            X0,
-            max_steps=5000,
-            stop_tol=1e-300,
-            window=10,
-            tail_len=60,
-            divergence_radius=np.inf,  # force the non-finite path
-        )
-    assert status[0] == 2  # diverged
-    tail = _tail_of(ring, steps, 0)
+    ring, steps, status, _ = _evolve_batch(
+        system, np.array([[1.0]]), max_steps=5000, stop_tol=1e-300, window=10, tail_len=60
+    )
+    assert status[0] == DIVERGED
+    assert int(steps[0]) > 20 * 60
+    ks, tail = tail_of(ring, steps, 0)
     assert np.all(np.isfinite(tail))
-    # doubling map: a consecutive tail is strictly increasing; a stale
-    # wrapped entry would break monotonicity
+    assert len(tail) == 59
+    np.testing.assert_array_equal(ks, np.arange(steps[0] - 59, steps[0]))
+    # a consecutive tail is strictly increasing; a stale wrapped entry
+    # would break monotonicity
     assert np.all(np.diff(tail[:, 0]) > 0)
+    assert tail[-1, 0] > 1e6
 
 
 def test_default_max_steps():

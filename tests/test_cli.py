@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -64,6 +65,30 @@ def test_certify_quad_saddle_gd(capsys, tmp_path):
     assert cert["c"] == 1.0
     assert cert["lambda_k"] == "1"
     assert (tmp_path / "certs" / "quad_saddle_gd.json").exists()
+
+
+def test_certify_double_well_gd_radius_within_analytic(capsys):
+    # ||H(x) - H(0)|| = 3 x_1^2 meets the budget c/20 = 0.05 on the x_1
+    # axis at r = sqrt(0.05/3); the sampled radius must not exceed it
+    code, out, _ = run_cli(
+        ["certify", "--objective", "double_well", "--algo", "gd", "--schedule", "const:0.5"],
+        capsys,
+    )
+    assert code == 0
+    for cert in json.loads(out)["certificates"]:
+        assert cert["r"] <= math.sqrt(0.05 / 3.0) * (1.0 + 1e-12)
+
+
+def test_certify_pp_small_gamma_finishes():
+    # gamma = 0.01: the sup of the steps is alpha0, found without a scan
+    proc = subprocess.run(
+        [sys.executable, "-m", "saddlescope.cli", "certify", "--objective", "double_well",
+         "--algo", "pp", "--schedule", "poly:0.01:0.01"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_certify_pp_step_too_large(capsys):
@@ -359,6 +384,28 @@ def test_evolve_blowup_footer(capsys):
     assert "# classification=diverged" in out
 
 
+def test_evolve_negative_init(capsys):
+    code, out, _ = run_cli(
+        ["evolve", "--objective", "quad_saddle", "--algo", "gd", "--schedule", "const:0.1",
+         "--init", "-1,0.5", "--steps", "1"],
+        capsys,
+    )
+    assert code == 0
+    assert out.split("\n")[1] == "0,-1,0.5"
+
+
+def test_avoid_diverging_pp_cell_completes(capsys):
+    # far from the saddle the Newton residual's rounding floor exceeds
+    # the absolute inner tolerance; the trials must still end diverged
+    code, out, _ = run_cli(
+        ["avoid", "--objective", "quad_saddle", "--algo", "pp", "--schedule", "poly:0.5:0.5",
+         "--trials", "4", "--max-steps", "3000"],
+        capsys,
+    )
+    assert code == 0
+    assert json.loads(out)["counts"]["diverged"] == 4
+
+
 # --- exit-code / strictness contract ---------------------------------------------
 
 
@@ -385,6 +432,15 @@ def test_unknown_flag_exits_one():
     )
     assert proc.returncode == 1
     assert "frobnicate" in proc.stderr
+
+
+def test_unknown_short_flag_exits_one(capsys):
+    # widening the negative-number rule must leave -x an (unknown) option
+    with pytest.raises(SystemExit) as exc:
+        main(["avoid", "--objective", "double_well", "--algo", "gd",
+              "--schedule", "const:0.5", "--trials", "2", "-x", "1"])
+    assert exc.value.code == 1
+    assert "-x" in capsys.readouterr().err
 
 
 def test_cli_rerun_byte_identical(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from saddlescope import dynsys
 from saddlescope.dynsys import (
     NonAutonomousSystem,
     Splitting,
@@ -84,6 +85,26 @@ def test_run_trajectory_nan_flagged_diverged():
     system = NonAutonomousSystem(lambda k: SystemMap(step), 1)
     rec = run_trajectory(system, np.array([1.0]), max_steps=100, stop_tol=1e-12)
     assert rec.classification == "diverged"
+    # the NaN state is not stored: the record ends at the last finite one
+    assert np.all(np.isfinite(rec.iterates))
+    assert rec.step_indices[-1] == rec.steps_taken - 1
+
+
+def test_run_trajectory_is_one_engine_call(monkeypatch):
+    # run_trajectory has no loop of its own: one call into the batch
+    # engine, with a single row
+    calls = []
+    engine = dynsys.evolve_batch
+
+    def counted(system, X0, *args, **kw):
+        calls.append(np.shape(X0))
+        return engine(system, X0, *args, **kw)
+
+    monkeypatch.setattr(dynsys, "evolve_batch", counted)
+    system = NonAutonomousSystem(lambda k: gd_map(quad_saddle_grad, 0.1), 2)
+    rec = run_trajectory(system, np.array([1.0, 1.0]), max_steps=50, stop_tol=1e-12)
+    assert calls == [(1, 2)]
+    assert rec.steps_taken == 50
 
 
 def test_run_trajectory_sampled_storage():

@@ -155,6 +155,33 @@ def test_admissible_vanishing_with_large_initial_steps():
     assert res.c == 1.0
 
 
+def _scanned_polynomial_K(sched, bound):
+    # the reference: the first k with alpha_k <= bound, one k at a time
+    K = 0
+    while step_size(sched, K) > bound:
+        K += 1
+    return K
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.7, 0.5, 0.35])
+def test_admissible_polynomial_K_matches_the_scan(gamma):
+    for alpha0 in (0.3, 1.0, 1.7, 2.0, 3.0):
+        for h_max in (0.5, 1.0, 2.0):
+            sched = polynomial_schedule(alpha0, gamma)
+            res = check_admissible(np.array([h_max, -1.0]), sched)
+            assert res.K == _scanned_polynomial_K(sched, 2.0 / h_max), (alpha0, h_max)
+
+
+def test_admissible_polynomial_small_gamma_is_closed_form():
+    # poly:0.02:3 against the bound 2: K = ceil(1.5^50) - 1, far beyond
+    # any scan
+    sched = polynomial_schedule(3.0, 0.02)
+    res = check_admissible(np.array([1.0, -1.0]), sched)
+    assert res.K == 637621500
+    assert step_size(sched, res.K) <= 2.0 < step_size(sched, res.K - 1)
+    assert schedule_sup(polynomial_schedule(0.01, 0.01)) == 0.01
+
+
 def test_admissible_cosine_smallest_K():
     sched = cosine_schedule(4.0, 1.0, 2)
     h = np.array([2.0, -0.5])
