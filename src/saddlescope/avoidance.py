@@ -3,21 +3,22 @@ full-rank (Luzin N^-1) scan.
 
 Random initializations are evolved in one vectorized batch per cell
 (one call into dynsys.evolve_batch, the engine behind run_trajectory),
-with any stable-set probes stacked under the trials, and every row is
-classified against the objective catalogue by the same helper; only the
-trial rows are counted.  Rows are independent (the per-trial random
-substreams derive from one seed, and the gd, rgd and pp maps act
-row-wise), so neither batching nor probes change a trial's result.
-Convergence to a saddle is declared conservatively: the gradient must be
-below 1e-8 AND the iterate within 1e-3 of a catalogued saddle for the
-final 50 stored iterates, so that the slow transients of vanishing step
-sizes never count as hits.
+with any stable-set probes stacked under the trials.  Every row is then
+classified against the objective catalogue at once, with array
+operations over the engine's tail ring (_classify_rows); classify_limit
+applies the same classifier to a single record.  Only the trial rows
+are counted.  Rows are independent (the per-trial random substreams
+derive from one seed, and the gd, rgd and pp maps act row-wise), so
+neither batching nor probes change a trial's result.  Convergence to a
+saddle is declared conservatively: the gradient must be below 1e-8 AND
+the iterate within 1e-3 of a catalogued saddle for the final 50 stored
+iterates, so that the slow transients of vanishing step sizes never
+count as hits.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynsys import DIVERGED, TrajectoryRecord, tail_of
+from .dynsys import ACTIVE, DIVERGED, TrajectoryRecord
 from .dynsys import evolve_batch as _evolve_batch
 from .optimizers import gd_system, pp_system, prox_solve, rgd_system
 from .phcert import (
@@ -96,46 +97,86 @@ def validate_cell(entry: CataloguedObjective, algorithm: str, schedule: Schedule
 
 # --- limit classification -----------------------------------------------------
 
-_CLASS_OF = {
-    MIN: "converged_minimizer",
-    STRICT_SADDLE: "converged_strict_saddle",
-    "max": "converged_other_critical",
-    "degenerate": "converged_other_critical",
-}
+VERDICTS = (
+    "converged_minimizer",
+    "converged_strict_saddle",
+    "converged_other_critical",
+    "diverged",
+    "undecided",
+)
+_MINIMIZER, _SADDLE, _OTHER, _DIVERGED, _UNDECIDED = range(len(VERDICTS))
+_CODE_OF = {MIN: _MINIMIZER, STRICT_SADDLE: _SADDLE, "max": _OTHER, "degenerate": _OTHER}
+
+
+def _classify_rows(entry: CataloguedObjective, X0, ring, steps, status):
+    """Classify every batch row against the catalogue at once.
+
+    ring, steps and status are evolve_batch's outputs.  A row's final
+    state is its last finite ring entry: ring[steps], or ring[steps - 1]
+    after a non-finite blow-up (its X0 row, with an infinite gradient
+    norm, when neither is finite).  A row is "diverged" when its status
+    says so or ring[steps] is not finite.  Otherwise its verdict is the
+    class of the nearest catalogued critical set (first set on a tie)
+    when the final gradient is below LIMIT_GRAD_TOL and that set is
+    within SADDLE_DIST_TOL, else "undecided".  A strict-saddle verdict
+    further needs SADDLE_WINDOW stored iterates, all with gradient below
+    SADDLE_GRAD_TOL and within SADDLE_DIST_TOL of that saddle, so that
+    transient proximity under vanishing steps does not count.
+
+    Returns (codes, final, gnorm): indices into VERDICTS, the (N, d)
+    final states and their (N,) gradient norms.
+    """
+    L, N, _ = ring.shape
+    rows = np.arange(N)
+    last = ring[steps % L, rows]
+    prev = ring[(steps - 1) % L, rows]
+    last_ok = np.all(np.isfinite(last), axis=1)
+    prev_ok = (steps >= 1) & np.all(np.isfinite(prev), axis=1)
+    final = np.where(last_ok[:, None], last, np.where(prev_ok[:, None], prev, X0))
+    has = last_ok | prev_ok
+    gnorm = np.full(N, np.inf)
+    gnorm[has] = entry.gradient_norm(final[has])
+
+    diverged = (status == DIVERGED) | ~last_ok
+    codes = np.where(diverged, _DIVERGED, _UNDECIDED)
+    # a NaN gradient norm passes the gate, as `not gnorm >= tol` does
+    cand = np.flatnonzero(~diverged & ~(gnorm >= LIMIT_GRAD_TOL))
+    sets = entry.critical_points
+    dist = np.array([s.distance(final[cand]) for s in sets])
+    dist[np.isnan(dist)] = np.inf  # a NaN distance never makes a set nearest
+    near = np.argmin(dist, axis=0)  # the first set on a tie
+    hit = dist[near, np.arange(cand.size)] < SADDLE_DIST_TOL
+    cand, near = cand[hit], near[hit]
+    codes[cand] = np.array([_CODE_OF[s.classification] for s in sets])[near]
+
+    saddle = codes[cand] == _SADDLE
+    codes[cand[saddle]] = _UNDECIDED  # until its window proves confined
+    full = saddle & (np.minimum(steps[cand] + 1, L) >= SADDLE_WINDOW)
+    cand, near = cand[full], near[full]
+    ks = steps[cand] - np.arange(SADDLE_WINDOW - 1, -1, -1)[:, None]
+    window = ring[ks % L, cand]  # (SADDLE_WINDOW, n, d), oldest first
+    confined = np.all(entry.gradient_norm(window) < SADDLE_GRAD_TOL, axis=0)
+    for j in np.unique(near):
+        on = near == j
+        confined[on] &= np.all(sets[j].distance(window[:, on]) < SADDLE_DIST_TOL, axis=0)
+    codes[cand[confined]] = _SADDLE
+    return codes, final, gnorm
 
 
 def classify_limit(record: TrajectoryRecord, entry: CataloguedObjective) -> str:
     """Match a finished trajectory's tail against the catalogue.
 
-    Returns the catalogued class when the tail iterate has gradient
-    below LIMIT_GRAD_TOL and sits within SADDLE_DIST_TOL of a catalogued
-    critical point/family.  A strict-saddle verdict additionally requires
-    gradient < 1e-8 and distance < 1e-3 over the final 50 stored
-    iterates (transient proximity under vanishing steps must not count).
+    A one-record call into _classify_rows: the record's trailing
+    SADDLE_WINDOW consecutively stored iterates become a one-row ring,
+    so trials, probes and this function share one classification rule.
     """
-    if record.classification == "diverged":
-        return "diverged"
     tail = record.tail(SADDLE_WINDOW)
+    diverged = record.classification == "diverged"
     if len(tail) == 0:
-        return "undecided"
-    final = tail[-1]
-    if not np.all(np.isfinite(final)):
-        return "diverged"
-    if float(entry.gradient_norm(final)) >= LIMIT_GRAD_TOL:
-        return "undecided"
-    nearest, dist = entry.nearest_critical(final)
-    if nearest is None or dist >= SADDLE_DIST_TOL:
-        return "undecided"
-    verdict = _CLASS_OF[nearest.classification]
-    if verdict != "converged_strict_saddle":
-        return verdict
-    if len(tail) < SADDLE_WINDOW:
-        return "undecided"
-    grads = np.asarray(entry.gradient_norm(tail))
-    dists = np.asarray(nearest.distance(tail))
-    if np.all(grads < SADDLE_GRAD_TOL) and np.all(dists < SADDLE_DIST_TOL):
-        return "converged_strict_saddle"
-    return "undecided"
+        return "diverged" if diverged else "undecided"
+    status = np.array([DIVERGED if diverged else ACTIVE])
+    codes, _, _ = _classify_rows(entry, tail[-1:], tail[:, None], np.array([len(tail) - 1]), status)
+    return VERDICTS[codes[0]]
 
 
 # --- reports --------------------------------------------------------------------
@@ -222,22 +263,6 @@ def _probe_points(probes: Sequence, entry: CataloguedObjective) -> np.ndarray:
     return P0
 
 
-def _classify_rows(entry: CataloguedObjective, X0, ring, steps, status):
-    """Yield (verdict, final iterate, final gradient norm) per batch row."""
-    for i, x0 in enumerate(X0):
-        ks, tail = tail_of(ring, steps, i)
-        rec = TrajectoryRecord(
-            initial=x0,
-            step_indices=ks,
-            iterates=tail,
-            steps_taken=int(steps[i]),
-            classification="diverged" if status[i] == DIVERGED else "undecided",
-        )
-        final = tail[-1] if len(tail) else x0
-        gn = float(entry.gradient_norm(final)) if np.all(np.isfinite(final)) else math.inf
-        yield classify_limit(rec, entry), final, gn
-
-
 def monte_carlo_avoidance(
     objective_key: str,
     algorithm: str,
@@ -274,28 +299,18 @@ def monte_carlo_avoidance(
         system, X0, max_steps, STOP_TOL, window=STOP_WINDOW, tail_len=STOP_WINDOW
     )
 
-    counts = {
-        "converged_minimizer": 0,
-        "converged_strict_saddle": 0,
-        "converged_other_critical": 0,
-        "diverged": 0,
-        "undecided": 0,
-    }
-    saddle_hits = []
-    rows = []
-    probe_results = []
-    for i, (cls, final, gn) in enumerate(_classify_rows(entry, X0, ring, steps, status)):
-        x0 = X0[i].tolist()
-        if i >= trials:
-            probe_results.append(
-                {"x0": x0, "classification": cls, "limit": final.tolist(), "steps": int(steps[i])}
-            )
-            continue
-        counts[cls] += 1
-        rows.append((i, x0, cls, int(steps[i]), gn))
-        if cls == "converged_strict_saddle":
-            saddle_hits.append({"trial": i, "x0": x0, "limit": final.tolist()})
-
+    codes, final, gnorm = _classify_rows(entry, X0, ring, steps, status)
+    counts = dict(zip(VERDICTS, np.bincount(codes[:trials], minlength=len(VERDICTS)).tolist()))
+    x0s, names, nsteps = X0.tolist(), [VERDICTS[c] for c in codes], steps.tolist()
+    rows = list(zip(range(trials), x0s, names, nsteps, gnorm.tolist()))
+    saddle_hits = [
+        {"trial": i, "x0": x0s[i], "limit": final[i].tolist()}
+        for i in np.flatnonzero(codes[:trials] == _SADDLE).tolist()
+    ]
+    probe_results = [
+        {"x0": x0s[i], "classification": names[i], "limit": final[i].tolist(), "steps": nsteps[i]}
+        for i in range(trials, len(X0))
+    ]
     return AvoidanceReport(
         objective_key=objective_key,
         algorithm=algorithm,

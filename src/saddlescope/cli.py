@@ -346,7 +346,7 @@ def cmd_avoid(args) -> int:
             max_steps=args.max_steps,
             probes=probes,
         )
-    except (phcert.StepTooLarge, CertificateFailure) as exc:
+    except (CertificateFailure, NotAdmissible) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CERT
     except ValueError as exc:

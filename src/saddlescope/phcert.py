@@ -248,7 +248,14 @@ def check_admissible(
         if schedule.family == "polynomial":
             # alpha_k decreases: the closed-form K, corrected for rounding
             ratio = schedule.alpha0 / bound
-            K = max(0, math.ceil(ratio ** (1.0 / schedule.gamma)) - 1)
+            try:
+                K = max(0, math.ceil(ratio ** (1.0 / schedule.gamma)) - 1)
+            except OverflowError:
+                raise NotAdmissible(
+                    f"{schedule.describe()}: alpha_k stays above 2/h_max = {bound:g} "
+                    f"for ({ratio:g})^(1/{schedule.gamma:g}) steps, beyond the float range",
+                    condition="(i) eventual partition",
+                ) from None
             while K > 0 and step_size(schedule, K - 1) <= bound:
                 K -= 1
             while step_size(schedule, K) > bound:

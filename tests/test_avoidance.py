@@ -6,6 +6,7 @@ import pytest
 
 from saddlescope import avoidance
 from saddlescope.avoidance import (
+    VERDICTS,
     AvoidanceReport,
     build_system,
     classify_limit,
@@ -14,9 +15,18 @@ from saddlescope.avoidance import (
     monte_carlo_avoidance,
     run_matrix,
     validate_cell,
+    _classify_rows,
     _evolve_batch,
 )
-from saddlescope.dynsys import TrajectoryRecord, run_trajectory, tail_of
+from saddlescope.dynsys import (
+    ACTIVE,
+    DIVERGED,
+    LEFT_CHART,
+    STOPPED,
+    TrajectoryRecord,
+    run_trajectory,
+    tail_of,
+)
 from saddlescope.optimizers import gd_system
 from saddlescope.phcert import (
     StepTooLarge,
@@ -25,7 +35,7 @@ from saddlescope.phcert import (
     explicit_schedule,
     polynomial_schedule,
 )
-from saddlescope.testfns import get
+from saddlescope.testfns import CataloguedObjective, get
 
 
 def make_record(points, steps_taken=None, classification="undecided"):
@@ -71,6 +81,117 @@ def test_classify_far_point_undecided():
     entry = get("double_well")
     rec = make_record([[0.5, 0.5]] * 60, steps_taken=100)
     assert classify_limit(rec, entry) == "undecided"
+
+
+def _hand_built_batch():
+    """One row per classifier branch, stored like evolve_batch's ring."""
+    L, drift = 60, np.geomspace(0.5, 1e-9, 60)
+    rows = [  # (steps, status, state at step k, expected verdict)
+        (300, STOPPED, lambda k: [1.0 + 1e-7, 0.0], "converged_minimizer"),
+        (300, STOPPED, lambda k: [0.0, 0.0], "converged_strict_saddle"),
+        (300, ACTIVE, lambda k: [0.0, drift[k - 241]], "undecided"),  # transient pass
+        (30, STOPPED, lambda k: [0.0, 0.0], "undecided"),  # 31 stored iterates
+        (300, ACTIVE, lambda k: [0.5, 0.5], "undecided"),  # far from the catalogue
+        (80, DIVERGED, lambda k: [2e8 if k == 80 else 1.0, 0.0], "diverged"),
+        (80, DIVERGED, lambda k: [np.nan if k == 80 else 5e7, 1.0], "diverged"),
+        (5, LEFT_CHART, lambda k: [0.3, 2.0], "undecided"),
+    ]
+    ring = np.full((L, len(rows), 2), np.nan)
+    for i, (s, _, state, _) in enumerate(rows):
+        for k in range(max(0, s - L + 1), s + 1):
+            ring[k % L, i] = state(k)
+    X0 = np.zeros((len(rows), 2))
+    steps = np.array([r[0] for r in rows])
+    status = np.array([r[1] for r in rows])
+    return X0, ring, steps, status, [r[3] for r in rows]
+
+
+def test_classify_rows_one_row_per_branch():
+    entry = get("double_well")
+    X0, ring, steps, status, expected = _hand_built_batch()
+    codes, final, gnorm = _classify_rows(entry, X0, ring, steps, status)
+    assert [VERDICTS[c] for c in codes] == expected
+    for i in range(len(X0)):
+        _, tail = tail_of(ring, steps, i)
+        np.testing.assert_array_equal(final[i], tail[-1])
+        assert gnorm[i] == float(entry.gradient_norm(tail[-1]))
+    # the NaN blow-up reports its last finite state
+    np.testing.assert_array_equal(final[6], [5e7, 1.0])
+
+
+def _classify_one(entry, ring, steps, status, i):
+    """Reference: one row at a time, through nearest_critical and the tail."""
+    _, tail = tail_of(ring, steps, i)
+    if status[i] == DIVERGED:
+        return "diverged"
+    final = tail[-1]
+    if float(entry.gradient_norm(final)) >= 1e-4:
+        return "undecided"
+    nearest, dist = entry.nearest_critical(final)
+    if nearest is None or dist >= 1e-3:
+        return "undecided"
+    verdict = {"min": "converged_minimizer", "strict_saddle": "converged_strict_saddle"}.get(
+        nearest.classification, "converged_other_critical"
+    )
+    if verdict != "converged_strict_saddle":
+        return verdict
+    window = tail[-50:]
+    confined = (
+        len(window) == 50
+        and np.all(entry.gradient_norm(window) < 1e-8)
+        and np.all(nearest.distance(window) < 1e-3)
+    )
+    return verdict if confined else "undecided"
+
+
+@pytest.mark.parametrize(
+    "key, algo, probes",
+    [
+        ("double_well", "gd", [[0.0, 0.5], [0.0, 1e-12]]),
+        ("rayleigh_sphere", "rgd", [[0.0, 1.0, 0.0], [0.0, 0.6, 0.8], [0.0, 0.0, 1.0]]),
+        ("saddle_line", "gd", [[1.0, 0.0, 3.0]]),
+    ],
+)
+@pytest.mark.parametrize("max_steps", [30, 3000])
+def test_classify_rows_matches_the_row_loop(key, algo, probes, max_steps):
+    # random starts reach minimizers or diverge; the probes sit on stable
+    # sets, and 30 steps leave them short of the 50-iterate window
+    entry = get(key)
+    X0 = np.vstack([avoidance._initial_points(entry, 200, 4, 2.0), probes])
+    system = build_system(entry, algo, constant_schedule(0.5))
+    ring, steps, status, _ = _evolve_batch(system, X0, max_steps, 1e-12, window=60, tail_len=60)
+    codes, _, _ = _classify_rows(entry, X0, ring, steps, status)
+    expected = [_classify_one(entry, ring, steps, status, i) for i in range(len(X0))]
+    assert [VERDICTS[c] for c in codes] == expected
+
+
+def test_classify_rows_without_a_finite_state():
+    entry = get("double_well")
+    ring = np.full((60, 1, 2), np.nan)
+    X0 = np.array([[np.nan, 0.0]])
+    codes, final, gnorm = _classify_rows(entry, X0, ring, np.array([1]), np.array([DIVERGED]))
+    assert VERDICTS[codes[0]] == "diverged"
+    assert np.isnan(final[0, 0]) and gnorm[0] == np.inf
+
+
+def test_classification_calls_do_not_grow_with_trials(monkeypatch):
+    # the verdicts cost a fixed number of array calls per cell, not one per row
+    calls = {"gradient_norm": 0, "nearest_critical": 0}
+    for name in calls:
+        orig = getattr(CataloguedObjective, name)
+
+        def counted(self, x, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(self, x)
+
+        monkeypatch.setattr(CataloguedObjective, name, counted)
+    seen = []
+    for trials in (8, 800):
+        calls.update(gradient_norm=0, nearest_critical=0)
+        monte_carlo_avoidance("quad_saddle", "gd", constant_schedule(0.5), trials=trials, seed=3)
+        seen.append(dict(calls))
+    assert seen[0] == seen[1]
+    assert seen[0]["gradient_norm"] >= 1 and seen[0]["nearest_critical"] == 0
 
 
 # --- batched evolution ---------------------------------------------------------

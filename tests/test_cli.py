@@ -406,6 +406,23 @@ def test_avoid_diverging_pp_cell_completes(capsys):
     assert json.loads(out)["counts"]["diverged"] == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--objective", "quad_saddle", "--algo", "gd"],
+        ["avoid", "--objective", "quad_saddle", "--algo", "gd", "--trials", "2", "--max-steps", "10"],
+    ],
+    ids=["certify", "avoid"],
+)
+def test_overflowing_polynomial_K_is_not_admissible(argv, capsys):
+    # (3/2)^(1/0.0005) steps before alpha_k <= 2/h_max: beyond the float range
+    code, out, err = run_cli(argv + ["--schedule", "poly:0.0005:3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("NotAdmissible: poly:0.0005:3")
+    assert "Traceback" not in err
+
+
 # --- exit-code / strictness contract ---------------------------------------------
 
 

@@ -205,6 +205,11 @@ def test_admissible_explicit_list_empirical():
     assert res.c == pytest.approx(expected_c, rel=1e-12)
 
 
+def test_admissible_polynomial_K_beyond_float_range_raises():
+    with pytest.raises(NotAdmissible, match=r"poly:0\.0005:3"):
+        check_admissible(np.array([1.0, -1.0]), polynomial_schedule(3.0, 0.0005))
+
+
 def test_admissible_explicit_list_unsettled_raises():
     # multiplier for h=2 oscillates across |1 - alpha*2| = 1 forever
     vals = [1.2 if k % 2 else 0.3 for k in range(50)]
