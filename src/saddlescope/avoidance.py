@@ -19,6 +19,7 @@ count as hits.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -182,10 +183,6 @@ def classify_limit(record: TrajectoryRecord, entry: CataloguedObjective) -> str:
 # --- reports --------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 @dataclass
 class AvoidanceReport:
     objective_key: str
@@ -220,34 +217,150 @@ class AvoidanceReport:
             + [f"x0_{j}" for j in range(d)]
             + ["classification", "steps", "final_grad_norm"]
         )
+        # one template per row; %.17g prints the digits format(v, ".17g") does
+        row = "%s,%s," + "%.17g," * d + "%s,%s,%.17g"
         lines = [",".join(header)]
-        for trial, x0, cls, steps, gnorm in self.rows:
-            lines.append(
-                ",".join(
-                    [str(trial), str(self.seed)]
-                    + [_fmt(v) for v in x0]
-                    + [cls, str(steps), _fmt(gnorm)]
-                )
-            )
+        lines += [
+            row % (trial, self.seed, *x0, cls, steps, gnorm)
+            for trial, x0, cls, steps, gnorm in self.rows
+        ]
         return "\n".join(lines) + "\n"
+
+
+# --- per-trial substreams -----------------------------------------------------------
+
+# numpy's SeedSequence hash constants (NEP 19 fixes the algorithm) and the
+# Philox4x64-10 multipliers and key increments (Salmon et al., SC 2011)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4  # SeedSequence's default pool size, in uint32 words
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_PHILOX_ROUNDS = 10
+
+
+def _hash_consts(init: int, mult: int):
+    """The (xor, multiply) constant pairs of successive SeedSequence hashes."""
+    h = init
+    while True:
+        nxt = h * mult & _MASK32
+        yield h, nxt
+        h = nxt
+
+
+def _hashmix(value: np.ndarray, consts) -> np.ndarray:
+    a, b = next(consts)
+    value = (value ^ a) * b  # uint32 arithmetic, wrapping as in C
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> 16)
+
+
+def _substream_keys(seed: int, trials: int) -> tuple:
+    """Philox keys of SeedSequence(entropy=seed, spawn_key=(i,)), i < trials.
+
+    Runs SeedSequence's entropy mixing and generate_state(2, uint64) as
+    uint32 array arithmetic over the trial index i (one uint32 word, so
+    i < 2**32).  The assembled entropy is the seed's little-endian
+    uint32 words, zero-padded to the pool size because a spawn key
+    follows, then i.  Returns the two (trials,) uint64 key words.
+    """
+    words, n = [], seed
+    while True:
+        words.append(n & _MASK32)
+        n >>= 32
+        if not n:
+            break
+    words += [0] * (_POOL - len(words))
+    entropy = [np.array([w], dtype=np.uint32) for w in words]
+    entropy.append(np.arange(trials, dtype=np.uint32))
+
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(e, consts) for e in entropy[:_POOL]]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for e in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], _hashmix(e, consts))
+
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    w = [_hashmix(p, consts).astype(np.uint64) for p in pool]
+    return w[0] | (w[1] << np.uint64(32)), w[2] | (w[3] << np.uint64(32))
+
+
+def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple:
+    """High and low 64-bit words of the 128-bit products m * x."""
+    lo32 = np.uint64(_MASK32)
+    m_lo, m_hi = m & lo32, m >> np.uint64(32)
+    x_lo, x_hi = x & lo32, x >> np.uint64(32)
+    ll, lh, hl = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo
+    mid = (ll >> np.uint64(32)) + (lh & lo32) + (hl & lo32)
+    hi = x_hi * m_hi + (lh >> np.uint64(32)) + (hl >> np.uint64(32)) + (mid >> np.uint64(32))
+    return hi, m * x
+
+
+def _philox_words(keys: tuple, n: int) -> np.ndarray:
+    """The first n uint64 outputs of Philox4x64-10 under each key.
+
+    numpy's Philox starts from counter 0 and increments it before each
+    block, so block b is the 10-round bijection of counter (b + 1, 0, 0, 0).
+    Returns a (trials, n) uint64 array.
+    """
+    k0, k1 = keys
+    blocks = -(-n // 4)
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[:, None] + np.zeros_like(k0)
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack([c0, c1, c2, c3], axis=-1)  # (blocks, trials, 4)
+    return words.transpose(1, 0, 2).reshape(len(k0), 4 * blocks)[:, :n]
 
 
 def _initial_points(
     entry: CataloguedObjective, trials: int, seed: int, box: float
 ) -> np.ndarray:
-    """Per-trial substreams: trial i draws from SeedSequence((seed, i))."""
+    """Trial i's start, drawn from Generator(Philox(SeedSequence(entropy=seed,
+    spawn_key=(i,)))), for every trial at once.
+
+    Trial i's Philox key is what that SeedSequence's generate_state(2,
+    uint64) gives; _substream_keys derives all of them in one array pass.
+    Box cells run the Philox rounds on every key (_philox_words) and
+    apply numpy's uniform transform, low + (high - low) * ((u >> 11) *
+    2**-53), to the first d words.  Sphere cells re-key one Philox
+    Generator per trial and let numpy draw the d normals, since
+    standard_normal's ziggurat tables are not reachable from Python.
+    The draws are bitwise those of the per-trial Generators, which
+    tests/test_avoidance.py checks against the installed numpy, and bad
+    seeds and boxes raise numpy's own errors.
+    """
+    seq = np.random.SeedSequence(entropy=seed)  # numpy's checks of the seed
+    rng = np.random.Generator(np.random.Philox(seq))
+    keys = _substream_keys(operator.index(seq.entropy), trials)
     d = entry.dim
-    out = np.empty((trials, d))
-    for i in range(trials):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
-        )
-        if entry.is_sphere:
-            v = rng.standard_normal(d)
-            out[i] = v / np.linalg.norm(v)
-        else:
-            out[i] = rng.uniform(-box, box, size=d)
-    return out
+    if entry.is_sphere:
+        state = rng.bit_generator.state  # counter 0, empty buffer
+        out, sq = np.empty((trials, d)), np.empty(trials)
+        for i, key in enumerate(zip(keys[0].tolist(), keys[1].tolist())):
+            state["state"]["key"] = key
+            rng.bit_generator.state = state
+            v = rng.standard_normal(out=out[i])
+            sq[i] = v.dot(v)  # np.linalg.norm(v) is sqrt(v.dot(v)), rounded alike
+        return out / np.sqrt(sq)[:, None]
+    rng.uniform(-box, box, size=0)  # numpy's checks of the box
+    low = float(-box)
+    span = float(box) - low
+    return low + span * ((_philox_words(keys, d) >> np.uint64(11)) * 2.0**-53)
 
 
 def _probe_points(probes: Sequence, entry: CataloguedObjective) -> np.ndarray:

@@ -178,16 +178,82 @@ def schedule_sup(schedule: Schedule) -> float:
     _check_gamma_range(schedule)
     if schedule.family == "polynomial":
         return schedule.alpha0  # alpha0 / (k+1)^gamma decreases
-    # envelope alpha0 * 2 / (k+1)^gamma decays below any current max
+    # envelope alpha0 * 2 / (k+1)^gamma decays below any current max;
+    # alpha_k decreases along each residue class mod 4T + 2 from its
+    # first member in k >= 1, so no later k can raise the max
     best = schedule.alpha0
     k = 1
-    while 2.0 * schedule.alpha0 / (k + 1) ** schedule.gamma > best:
+    while k <= 4 * schedule.T + 2 and 2.0 * schedule.alpha0 / (k + 1) ** schedule.gamma > best:
         best = max(best, step_size(schedule, k))
         k += 1
     return best
 
 
 # --- admissibility ----------------------------------------------------------
+
+
+def _first_at_most(alpha: Callable[[int], float], guess: float, bound: float) -> int:
+    """The smallest m >= 0 with alpha(m) <= bound, for alpha decreasing in m.
+
+    Starts from a closed-form guess and corrects it by galloping and
+    bisection over alpha comparisons, so an inexact guess costs O(log)
+    evaluations, also where alpha is flat in floating point.
+    """
+    hi = max(0, math.ceil(guess))
+    if alpha(hi) <= bound:
+        lo, step = hi - 1, 1
+        while lo >= 0 and alpha(lo) <= bound:
+            hi, step = lo, 2 * step
+            lo = hi - step
+        lo = max(lo, -1)  # alpha(lo) > bound, or lo = -1
+    else:
+        lo, step = hi, 1
+        hi = lo + step
+        while alpha(hi) > bound:
+            lo, step = hi, 2 * step
+            hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if alpha(mid) <= bound:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _admissible_K(schedule: Schedule, bound: float) -> int:
+    """1 + the last k with alpha_k > bound (0 if none), for a vanishing schedule.
+
+    Polynomial steps decrease, so K is the first k with alpha_k <= bound.
+    The cosine factor has period P = 4T + 2 in k, so for k >= 1 alpha_k
+    decreases along each residue class mod P, whose first member s is
+    one of 1..P.  Each class's first k_s = s + m P with alpha <= bound
+    has a closed form, corrected with step_size comparisons, and
+    K = max(alpha_0 > bound, max_s (k_s - P + 1)).  Only classes that
+    start before the envelope 2 alpha0 / (k+1)^gamma falls to the bound
+    can exceed it.  Raises OverflowError when a crossing lies beyond the
+    float range.
+    """
+    a0, g = schedule.alpha0, schedule.gamma
+    if schedule.family == "polynomial":
+        return _first_at_most(
+            lambda k: step_size(schedule, k), (a0 / bound) ** (1.0 / g) - 1, bound
+        )
+    P = 4 * schedule.T + 2
+    try:
+        k_env = _first_at_most(
+            lambda k: 2.0 * a0 / (k + 1) ** g, (2.0 * a0 / bound) ** (1.0 / g) - 1, bound
+        )
+    except OverflowError:  # every class starts before the envelope's crossing
+        k_env = P + 1
+    K = 1 if a0 > bound else 0
+    for s in range(1, min(P, k_env - 1) + 1):
+        f = 1.0 + math.cos(math.pi * (s + 0.5) / (2 * schedule.T + 1))
+        guess = ((a0 * f / bound) ** (1.0 / g) - 1 - s) / P
+        m = _first_at_most(lambda m: step_size(schedule, s + m * P), guess, bound)
+        if m > 0:
+            K = max(K, s + (m - 1) * P + 1)
+    return K
 
 
 @dataclass(frozen=True)
@@ -245,30 +311,14 @@ def check_admissible(
             return AdmissibilityResult(0, I_cs, I_u, c)
         # condition (i) on I_cs needs alpha_k <= 2 / h_max from K on
         bound = 2.0 / float(np.max(pos))
-        if schedule.family == "polynomial":
-            # alpha_k decreases: the closed-form K, corrected for rounding
-            ratio = schedule.alpha0 / bound
-            try:
-                K = max(0, math.ceil(ratio ** (1.0 / schedule.gamma)) - 1)
-            except OverflowError:
-                raise NotAdmissible(
-                    f"{schedule.describe()}: alpha_k stays above 2/h_max = {bound:g} "
-                    f"for ({ratio:g})^(1/{schedule.gamma:g}) steps, beyond the float range",
-                    condition="(i) eventual partition",
-                ) from None
-            while K > 0 and step_size(schedule, K - 1) <= bound:
-                K -= 1
-            while step_size(schedule, K) > bound:
-                K += 1
-        else:
-            # not monotone; find where the envelope drops below the bound,
-            # then scan back for the smallest K that works throughout
-            k_env = 0
-            while 2.0 * schedule.alpha0 / (k_env + 1) ** schedule.gamma > bound:
-                k_env += 1
-            K = k_env
-            while K > 0 and step_size(schedule, K - 1) <= bound:
-                K -= 1
+        try:
+            K = _admissible_K(schedule, bound)
+        except OverflowError:
+            raise NotAdmissible(
+                f"{schedule.describe()}: alpha_k exceeds 2/h_max = {bound:g} "
+                "at step indices beyond the float range",
+                condition="(i) eventual partition",
+            ) from None
         return AdmissibilityResult(K, I_cs, I_u, c)
 
     # explicit list: finite-prefix verification

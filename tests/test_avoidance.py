@@ -1,5 +1,9 @@
+import hashlib
+import math
+import re
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -342,6 +346,89 @@ def test_monte_carlo_deterministic_outputs():
     b = monte_carlo_avoidance(**kwargs)
     assert a.to_json() == b.to_json()
     assert a.to_csv() == b.to_csv()
+
+
+# sha256 of to_json() + to_csv() for three small cells, recorded with the
+# one-Generator-per-trial sampler and the per-float CSV formatter: a change
+# to the draws, the verdicts or the serialization shows here
+REPORT_DIGESTS = [
+    ("double_well", "gd", 11, [(0.0, 0.5)],
+     "a32a3242a41337fd0924e29bb92c4c1a29101f0ef16101535eecdf8ffb07c1d4"),
+    ("saddle_line", "pp", 12, [],
+     "7e0753758defd6ad4eab370dd198a9c92104711b1a2e0f6b721816a61fca5849"),
+    ("rayleigh_sphere", "rgd", 13, [],
+     "68339c89e471086f77ed9e3c311756f0e7a119d61abcd7a2c223b463b9f3248e"),
+]
+
+
+@pytest.mark.parametrize("key, algo, seed, probes, digest", REPORT_DIGESTS)
+def test_report_bytes_are_pinned(key, algo, seed, probes, digest):
+    r = monte_carlo_avoidance(key, algo, constant_schedule(0.5), trials=200, seed=seed, probes=probes)
+    assert hashlib.sha256((r.to_json() + r.to_csv()).encode()).hexdigest() == digest
+
+
+def _per_trial_points(dim, is_sphere, trials, seed, box):
+    # the reference: one SeedSequence -> Philox -> Generator per trial
+    out = np.empty((trials, dim))
+    for i in range(trials):
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        )
+        if is_sphere:
+            v = rng.standard_normal(dim)
+            out[i] = v / np.linalg.norm(v)
+        else:
+            out[i] = rng.uniform(-box, box, size=dim)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30, 2**130 + 5])
+@pytest.mark.parametrize("is_sphere", [False, True])
+def test_initial_points_match_the_per_trial_generators(seed, is_sphere):
+    for dim in (1, 2, 3, 6):
+        entry = SimpleNamespace(dim=dim, is_sphere=is_sphere)
+        ref = _per_trial_points(dim, is_sphere, 3000, seed, 1.5)
+        for trials in (1, 7, 3000):
+            got = avoidance._initial_points(entry, trials, seed, 1.5)
+            assert got.tobytes() == ref[:trials].tobytes(), (dim, trials)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+def test_initial_points_reject_bad_seeds_as_numpy_does(seed):
+    with pytest.raises((ValueError, TypeError)) as want:
+        np.random.SeedSequence(entropy=seed, spawn_key=(0,))
+    for is_sphere in (False, True):
+        entry = SimpleNamespace(dim=2, is_sphere=is_sphere)
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            avoidance._initial_points(entry, 4, seed, 2.0)
+
+
+@pytest.mark.parametrize("box", [math.inf, math.nan, -1.0, None])
+def test_initial_points_reject_bad_boxes_as_numpy_does(box):
+    rng = np.random.Generator(np.random.Philox(0))
+    with pytest.raises((ValueError, TypeError, OverflowError)) as want:
+        rng.uniform(-box, box, size=2)
+    entry = SimpleNamespace(dim=2, is_sphere=False)
+    with pytest.raises(want.type, match=re.escape(str(want.value))):
+        avoidance._initial_points(entry, 4, 1, box)
+
+
+def test_seed_sequences_do_not_grow_with_trials(monkeypatch):
+    # the starts cost a fixed number of numpy seedings per cell, not one per trial
+    calls = []
+    orig = np.random.SeedSequence
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
+    seen = []
+    for trials in (8, 800):
+        calls.clear()
+        monte_carlo_avoidance("quad_saddle", "gd", constant_schedule(0.5), trials=trials, seed=3)
+        seen.append(len(calls))
+    assert seen[0] == seen[1] >= 1
 
 
 # The stable-set probe (0, 0.5) of double_well as the parent engine, which

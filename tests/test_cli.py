@@ -91,6 +91,20 @@ def test_certify_pp_small_gamma_finishes():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize("command", ["certify", "avoid"])
+def test_cosine_small_gamma_finishes(command):
+    # gamma = 0.01: alpha_k first stays below 2/h_max near k = 10^69
+    extra = ["--trials", "2", "--max-steps", "10"] if command == "avoid" else []
+    proc = subprocess.run(
+        [sys.executable, "-m", "saddlescope.cli", command, "--objective", "double_well",
+         "--algo", "gd", "--schedule", "cos:0.01:4:5.0"] + extra,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_certify_pp_step_too_large(capsys):
     # alpha_0 = 0.9 >= 1/L = 0.5 violates the step-size precondition
     code, _, err = run_cli(

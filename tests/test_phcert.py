@@ -193,6 +193,76 @@ def test_admissible_cosine_smallest_K():
         assert step_size(sched, res.K - 1) > bound
 
 
+def _scanned_cosine_K(sched, bound):
+    # the reference: find where the envelope 2 alpha0 / (k+1)^gamma drops
+    # to the bound, then scan back one k at a time
+    k_env = 0
+    while 2.0 * sched.alpha0 / (k_env + 1) ** sched.gamma > bound:
+        k_env += 1
+    K = k_env
+    while K > 0 and step_size(sched, K - 1) <= bound:
+        K -= 1
+    return K
+
+
+def _scanned_cosine_sup(sched):
+    # the reference: every k until the envelope falls below the running max
+    best, k = sched.alpha0, 1
+    while 2.0 * sched.alpha0 / (k + 1) ** sched.gamma > best:
+        best = max(best, step_size(sched, k))
+        k += 1
+    return best
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.6, 0.35])
+def test_admissible_cosine_K_matches_the_scan(gamma):
+    for alpha0 in (0.3, 1.0, 1.7, 3.0):
+        for T in (0, 1, 4, 9):
+            sched = cosine_schedule(alpha0, gamma, T)
+            assert schedule_sup(sched) == _scanned_cosine_sup(sched), (alpha0, T)
+            for h_max in (0.5, 1.0, 2.0, 4.0):
+                res = check_admissible(np.array([h_max, -1.0]), sched)
+                assert res.K == _scanned_cosine_K(sched, 2.0 / h_max), (alpha0, T, h_max)
+
+
+def test_admissible_cosine_small_gamma_is_closed_form():
+    # cos:0.1:4:3 against the bound 1: K is near (3 f_max)^10 ~ 5e7, far
+    # beyond a one-k-at-a-time scan; K - 1 exceeds the bound and no k in
+    # the next periods does
+    sched = cosine_schedule(3.0, 0.1, 4)
+    res = check_admissible(np.array([2.0, -1.0]), sched)
+    assert 10**7 < res.K < 10**8
+    assert step_size(sched, res.K - 1) > 1.0
+    assert all(step_size(sched, k) <= 1.0 for k in range(res.K, res.K + 5 * 18))
+
+
+@pytest.mark.parametrize(
+    "sched",
+    [polynomial_schedule(5.0, 0.01), cosine_schedule(5.0, 0.01, 4), cosine_schedule(24.0, 0.004, 0)],
+    ids=["poly:0.01:5", "cos:0.01:4:5", "cos:0.004:0:24"],
+)
+def test_admissible_K_where_steps_are_flat_in_floating_point(sched):
+    # alpha_k changes by less than an ulp between neighbours near K
+    # (K > 10^39), so a one-k-at-a-time correction never ends; K - 1 still
+    # exceeds the bound.  For cos:0.004:0:24 the envelope's crossing is
+    # beyond the float range but the steps' own crossing is not
+    res = check_admissible(np.array([1.0, -1.0]), sched)
+    assert res.K > 10**39
+    assert step_size(sched, res.K - 1) > 2.0
+
+
+def test_admissible_cosine_K_beyond_float_range_raises():
+    with pytest.raises(NotAdmissible, match=r"cos:0\.0005:4:3"):
+        check_admissible(np.array([1.0, -1.0]), cosine_schedule(3.0, 0.0005, 4))
+
+
+def test_schedule_sup_cosine_small_gamma_finishes():
+    # the envelope stays above alpha0 until k + 1 = 2^100; the sup is
+    # among the first 4T + 2 steps
+    sched = cosine_schedule(1.0, 0.01, 4)
+    assert schedule_sup(sched) == max(step_size(sched, k) for k in range(19))
+
+
 def test_admissible_explicit_list_empirical():
     sched = explicit_schedule([2.0, 1.5, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05, 0.04, 0.03])
     res = check_admissible(np.array([2.0, -1.0]), sched)
