@@ -29,15 +29,8 @@ import numpy as np
 
 from .dynsys import ACTIVE, DIVERGED, TrajectoryRecord
 from .dynsys import evolve_batch as _evolve_batch
-from .optimizers import gd_system, pp_system, prox_solve, rgd_system
-from .phcert import (
-    Schedule,
-    StepTooLarge,
-    check_admissible,
-    constant_schedule,
-    is_nonsummable,
-    schedule_sup,
-)
+from .optimizers import gd_system, pp_system, rgd_system, tangent_basis
+from .phcert import Schedule, check_admissible, constant_schedule, is_nonsummable
 from .testfns import MIN, STRICT_SADDLE, CataloguedObjective, get
 
 SADDLE_GRAD_TOL = 1e-8
@@ -80,13 +73,9 @@ def validate_cell(entry: CataloguedObjective, algorithm: str, schedule: Schedule
     if not is_nonsummable(schedule):
         raise ValueError("schedule is summable; avoidance theory does not apply")
     if algorithm == "pp":
-        # PP needs sup alpha_k < 1/L; its splitting is by eigenvalue sign,
-        # so the multiplier-partition admissibility check does not apply
-        L = entry.objective.lipschitz_L
-        if L is None:
-            raise ValueError("pp needs a declared Lipschitz constant")
-        if schedule_sup(schedule) >= 1.0 / L:
-            raise StepTooLarge(f"sup alpha_k >= 1/L = {1.0 / L:g}")
+        # PP splits by eigenvalue sign, so the multiplier-partition
+        # admissibility check does not apply; pp_system checks L and
+        # sup alpha_k < 1/L when build_system runs
         return
     for cp in entry.critical_points:
         if cp.classification != STRICT_SADDLE:
@@ -502,16 +491,17 @@ def luzin_scan(
     x_samples: int,
     seed: int,
     box: float = DEFAULT_BOX,
-    threshold: float = DET_THRESHOLD,
-    inner_tol: float = 1e-12,
 ) -> LuzinReport:
     """Jacobian-determinant scan over (step size, point) samples.
 
-    For GD the determinant is det(I - alpha hess f(x)); for PP it is
-    det (I + alpha hess f(g_alpha(x)))^{-1} (never small for
-    alpha < 1/L); for RGD it is the tangent-space determinant in
-    orthonormal bases.  Pairs with |det| below the threshold are
-    flagged and surfaced; nothing is auto-excluded.
+    For each alpha, g = build_system(entry, algorithm,
+    constant_schedule(alpha)).map_at(0) gives the Jacobian J of every
+    sample point in one call.  The determinant is det J on Euclidean
+    objectives and det(Q(g(x))^T J Q(x)) on the sphere, with Q the
+    tangent basis.  Pairs with |det| below DET_THRESHOLD are flagged
+    and surfaced; nothing is auto-excluded.  build_system raises
+    ValueError for an objective the algorithm does not take, and
+    StepTooLarge for a pp alpha not below 1/L.
     """
     entry = get(objective_key)
     d = entry.dim
@@ -519,6 +509,7 @@ def luzin_scan(
     min_dets = []
     alphas = [float(a) for a in alpha_grid]
     for j, alpha in enumerate(alphas):
+        g = build_system(entry, algorithm, constant_schedule(alpha)).map_at(0)
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(j,)))
         )
@@ -527,29 +518,11 @@ def luzin_scan(
             X /= np.linalg.norm(X, axis=1, keepdims=True)
         else:
             X = rng.uniform(-box, box, size=(x_samples, d))
-        if algorithm == "gd":
-            H = np.asarray(entry.objective.hess(X))
-            dets = np.linalg.det(np.eye(d) - alpha * H)
-        elif algorithm == "pp":
-            L = entry.objective.lipschitz_L
-            if L is None or alpha >= 1.0 / L:
-                raise StepTooLarge(f"alpha = {alpha:g} is not below 1/L")
-            Z = prox_solve(entry.objective, alpha, X, inner_tol)
-            dets = 1.0 / np.linalg.det(np.eye(d) + alpha * np.asarray(entry.objective.hess(Z)))
-        elif algorithm == "rgd":
-            from .optimizers import tangent_basis
-
-            sys_ = rgd_system(entry.objective, constant_schedule(alpha))
-            smap = sys_.map_at(0)
-            dets = np.empty(x_samples)
-            for i in range(x_samples):
-                x = X[i]
-                J = smap.jacobian(x)
-                gx = np.asarray(smap.evaluate(x))
-                dets[i] = np.linalg.det(tangent_basis(gx).T @ J @ tangent_basis(x))
-        else:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
-        small = np.abs(dets) < threshold
+        J = g.jacobian(X)
+        if entry.is_sphere:
+            J = np.swapaxes(tangent_basis(g.evaluate(X)), -1, -2) @ J @ tangent_basis(X)
+        dets = np.linalg.det(J)
+        small = np.abs(dets) < DET_THRESHOLD
         for i in np.flatnonzero(small):
             flagged.append(
                 {
@@ -567,6 +540,4 @@ def luzin_scan(
         min_abs_det=min_dets,
         flagged=flagged,
         seed=seed,
-        threshold=threshold,
     )
-

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -20,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import avoidance, graphtransform, phcert, synthetic, testfns
-from .dynsys import run_trajectory
+from .dynsys import Splitting, SystemMap, run_trajectory
 from .graphtransform import (
     GraphFunction,
     IncompatibleSplitting,
@@ -31,7 +30,7 @@ from .graphtransform import (
     verify_graph_invariance,
     verify_potential_growth,
 )
-from .optimizers import SphereObjective, lift_to_tangent, rgd_system, tangent_basis
+from .optimizers import SphereObjective, tangent_basis
 from .phcert import (
     CertificateFailure,
     InvalidParameter,
@@ -234,15 +233,11 @@ def _preset_chain(name: str, horizon: int):
         pair = synthetic.perturbed_quadratic_pair(eps=0.08)
         return [pair] * horizon
     if name == "mismatched":
-        import numpy as _np
-
-        from .dynsys import Splitting, SystemMap
-
         good = synthetic.split_diagonal_pair()
-        sp = Splitting([_np.array([0.0, 1.0])], [_np.array([1.0, 0.0])])
-        T = _np.diag([2.0, 1.0])
+        sp = Splitting([np.array([0.0, 1.0])], [np.array([1.0, 0.0])])
+        T = np.diag([2.0, 1.0])
         bad = graphtransform.PHPair(
-            g=SystemMap(evaluate=lambda x: _np.asarray(x) @ T.T),
+            g=SystemMap(evaluate=lambda x: np.asarray(x) @ T.T),
             T=T,
             splitting=sp,
             mu=2.0,
@@ -381,6 +376,8 @@ def cmd_luzin(args) -> int:
     except phcert.StepTooLarge as exc:
         print(f"StepTooLarge: {exc}", file=sys.stderr)
         return EXIT_CERT
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = _outdir(args, "luzin")
     _emit(
         report.to_json(), out / f"{args.objective}_{args.algo}.json" if out else None

@@ -39,8 +39,9 @@ class SystemMap:
     """One update map of a non-autonomous system.
 
     evaluate must be deterministic and vectorized over leading axes:
-    input (..., d) -> output (..., d).  jacobian, when present, maps a
-    single point (d,) to the (d, d) Jacobian matrix.
+    input (..., d) -> output (..., d).  jacobian, when present, is
+    vectorized the same way: (..., d) -> the (..., d, d) Jacobian
+    matrices, so a single point (d,) gives one (d, d) matrix.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]

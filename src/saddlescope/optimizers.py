@@ -168,20 +168,22 @@ def rgd_system(objective: SphereObjective, schedule: Schedule) -> NonAutonomousS
 
         def jacobian(x):
             # ambient differential of w(x)/||w(x)|| with
-            # w = x - alpha (grad f - x (x . grad f))
+            # w = x - alpha (grad f - x (x . grad f)), over leading axes
             x = np.asarray(x, dtype=float)
             g = np.asarray(objective.ambient.grad(x), dtype=float)
             H = np.asarray(objective.ambient.hess(x), dtype=float)
-            s = float(x @ g)
+            eye = np.eye(objective.dim)
+            s = np.sum(x * g, axis=-1)[..., None]
+            Hx = (H @ x[..., None])[..., 0]
             Dw = (
-                np.eye(objective.dim)
+                eye
                 - alpha * H
-                + alpha * (s * np.eye(objective.dim) + np.outer(x, g + H @ x))
+                + alpha * (s[..., None] * eye + x[..., :, None] * (g + Hx)[..., None, :])
             )
             w = x - alpha * (g - s * x)
-            nw = float(np.linalg.norm(w))
-            what = w / nw
-            return (np.eye(objective.dim) - np.outer(what, what)) @ Dw / nw
+            nw = np.linalg.norm(w, axis=-1)[..., None, None]
+            what = w[..., :, None] / nw
+            return (eye - what * np.swapaxes(what, -1, -2)) @ Dw / nw
 
         return SystemMap(evaluate, jacobian, label=f"rgd[k={k}, a={alpha:g}]")
 
@@ -191,6 +193,7 @@ def rgd_system(objective: SphereObjective, schedule: Schedule) -> NonAutonomousS
 # --- proximal point ----------------------------------------------------------
 
 _ROUNDING_FLOOR = 8.0 * np.finfo(float).eps  # relative residual floor of z + a grad f(z) - x
+PROX_MAX_ITER = 100  # Newton updates before InnerSolveFailed
 
 
 def prox_solve(
@@ -198,7 +201,6 @@ def prox_solve(
     alpha: float,
     X: np.ndarray,
     inner_tol: float,
-    max_iter: int = 100,
 ) -> np.ndarray:
     """Solve z + alpha grad f(z) = x by Newton, warm-started at x.
 
@@ -214,7 +216,7 @@ def prox_solve(
     eye = np.eye(X.shape[-1])
     # sqrt(sum of squares): the bits of np.linalg.norm without its overhead
     tol = np.maximum(inner_tol, _ROUNDING_FLOOR * np.sqrt(np.add.reduce(X * X, axis=-1)))
-    for _ in range(max_iter + 1):
+    for _ in range(PROX_MAX_ITER + 1):
         F = Z + alpha * np.asarray(objective.grad(Z), dtype=float) - X
         done = np.sqrt(np.add.reduce(F * F, axis=-1)) <= tol
         if done.all():
@@ -225,7 +227,7 @@ def prox_solve(
             step[done] = 0.0
         Z = Z - step
     raise InnerSolveFailed(
-        f"proximal Newton residual above {inner_tol:g} after {max_iter} steps; "
+        f"proximal Newton residual above {inner_tol:g} after {PROX_MAX_ITER} steps; "
         "check the declared Lipschitz constant"
     )
 
@@ -274,6 +276,7 @@ def prox_inverse(objective: Objective, alpha: float, x: np.ndarray) -> np.ndarra
 
 CHART_RADIUS = math.pi / 2  # half the sphere's injectivity radius
 FADE_RADIUS = 3 * math.pi / 4
+FIXED_POINT_TOL = 1e-10  # how far g_0(base) may lie from base in lift_to_tangent
 
 
 def _smooth_step(u: np.ndarray) -> np.ndarray:
@@ -293,12 +296,16 @@ def _smooth_step(u: np.ndarray) -> np.ndarray:
 
 
 def tangent_basis(base: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal basis of the tangent space at base, (d, d-1)."""
+    """Deterministic orthonormal basis of the tangent space at base.
+
+    Vectorized over leading axes: (..., d) -> (..., d, d-1), one QR of
+    [base | I] per point.
+    """
     base = np.asarray(base, dtype=float)
-    d = base.size
-    M = np.concatenate([base[:, None], np.eye(d)], axis=1)
-    Q, _ = np.linalg.qr(M)
-    return Q[:, 1:d]
+    d = base.shape[-1]
+    eye = np.broadcast_to(np.eye(d), base.shape[:-1] + (d, d))
+    Q, _ = np.linalg.qr(np.concatenate([base[..., None], eye], axis=-1))
+    return Q[..., 1:d]
 
 
 def sphere_exp(base: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -308,7 +315,7 @@ def sphere_exp(base: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.cos(theta) * base + np.sinc(theta / math.pi) * v
 
 
-def sphere_log(base: np.ndarray, p: np.ndarray, fade: bool = True) -> np.ndarray:
+def sphere_log(base: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Riemannian logarithm at base, smoothly faded to 0 past CHART_RADIUS.
 
     Matches the true logarithm for geodesic distance <= pi/2 and drops
@@ -323,20 +330,14 @@ def sphere_log(base: np.ndarray, p: np.ndarray, fade: bool = True) -> np.ndarray
     nw = np.linalg.norm(w, axis=-1, keepdims=True)
     theta = np.arctan2(nw, c)
     scale = np.where(nw > 1e-300, theta / np.maximum(nw, 1e-300), 1.0)
-    out = scale * w
-    if fade:
-        beta = _smooth_step(
-            (FADE_RADIUS - theta[..., 0]) / (FADE_RADIUS - CHART_RADIUS)
-        )
-        out = beta[..., None] * out
-    return out
+    beta = _smooth_step((FADE_RADIUS - theta[..., 0]) / (FADE_RADIUS - CHART_RADIUS))
+    return beta[..., None] * (scale * w)
 
 
 def lift_to_tangent(
     objective: SphereObjective,
     base: np.ndarray,
     system: NonAutonomousSystem,
-    fixed_point_tol: float = 1e-10,
 ) -> NonAutonomousSystem:
     """Conjugate a sphere system into tangent coordinates at a fixed point.
 
@@ -350,7 +351,7 @@ def lift_to_tangent(
     if abs(np.linalg.norm(base) - 1.0) > 1e-10:
         raise ValueError("base must be a unit vector")
     probe = np.asarray(system.map_at(0).evaluate(base))
-    if np.linalg.norm(probe - base) > fixed_point_tol:
+    if np.linalg.norm(probe - base) > FIXED_POINT_TOL:
         raise ValueError("base is not a fixed point of the system")
     Q = tangent_basis(base)
 

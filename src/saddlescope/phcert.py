@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -19,6 +19,13 @@ import numpy as np
 from .dynsys import Splitting, SystemMap
 
 LIPSCHITZ_SEED = 0x5ADD1E
+ADMISSIBLE_HORIZON = 100_000  # explicit lists are checked over this prefix
+NONSUMMABLE_THRESHOLD = 1e3  # partial sum that counts an explicit list as divergent
+NONSUMMABLE_HORIZON = 1_000_000  # explicit-list prefix summed for that test
+RADIUS_SAMPLES = 512  # Sobol points per candidate radius (plus the axis endpoints)
+RADIUS_LEVELS = 64  # bisection levels of the radius search
+GLOBALIZE_PAIRS = 4096  # sampled point pairs per Lipschitz check in globalize
+GLOBALIZE_CHECK_FACTOR = 2.0  # the global check samples B_{factor r}
 
 
 class InvalidParameter(ValueError):
@@ -149,26 +156,6 @@ def step_size(schedule: Schedule, k: int) -> float:
     return base * (1.0 + math.cos(math.pi * (k + 0.5) / (2 * schedule.T + 1)))
 
 
-def step_sizes(schedule: Schedule, ks: np.ndarray) -> np.ndarray:
-    """Vectorized alpha_k over an integer array of step indices."""
-    ks = np.asarray(ks, dtype=int)
-    if np.any(ks < 0):
-        raise InvalidParameter("step indices must be >= 0")
-    if schedule.family == "explicit_list":
-        vals = np.asarray(schedule.values)
-        if np.any(ks >= len(vals)):
-            raise InvalidParameter("explicit schedule exhausted")
-        return vals[ks]
-    if schedule.family == "constant":
-        return np.full(ks.shape, schedule.alpha0)
-    _check_gamma_range(schedule)
-    out = schedule.alpha0 / (ks + 1.0) ** schedule.gamma
-    if schedule.family == "cosine":
-        out = out * (1.0 + np.cos(np.pi * (ks + 0.5) / (2 * schedule.T + 1)))
-    out = np.where(ks == 0, schedule.alpha0, out)
-    return out
-
-
 def schedule_sup(schedule: Schedule) -> float:
     """sup_k alpha_k, exact for the closed-form families."""
     if schedule.family == "explicit_list":
@@ -273,20 +260,16 @@ class AdmissibilityResult:
     empirical: bool = False
 
 
-def check_admissible(
-    eigenvalues: np.ndarray, schedule: Schedule, horizon: int = 100_000
-) -> AdmissibilityResult:
+def check_admissible(eigenvalues: np.ndarray, schedule: Schedule) -> AdmissibilityResult:
     """Partition Hessian eigenvalues into center-stable/unstable indices.
 
     Constant and vanishing (polynomial/cosine) families are resolved
     analytically with the largest valid margin c and the smallest valid
     start index K.  Ties |1 - alpha_k h_i| = 1 go to I_cs.  Explicit
-    lists are verified over the finite horizon only and flagged
-    empirical; raises NotAdmissible when the partition has not settled
-    over the final tenth of the horizon.
+    lists are verified over their first ADMISSIBLE_HORIZON steps only
+    and flagged empirical; raises NotAdmissible when the partition has
+    not settled over the final tenth of that prefix.
     """
-    if horizon < 1:
-        raise InvalidParameter("horizon must be >= 1")
     h = np.asarray(eigenvalues, dtype=float)
     d = h.size
 
@@ -322,7 +305,7 @@ def check_admissible(
         return AdmissibilityResult(K, I_cs, I_u, c)
 
     # explicit list: finite-prefix verification
-    n = min(horizon, len(schedule.values))
+    n = min(ADMISSIBLE_HORIZON, len(schedule.values))
     alphas = np.asarray(schedule.values[:n])
     mult = np.abs(1.0 - alphas[:, None] * h[None, :])  # (n, d)
     unstable = mult > 1.0
@@ -350,12 +333,10 @@ def check_admissible(
     return AdmissibilityResult(K, I_cs, I_u, c, empirical=True)
 
 
-def classify_nonsummable(
-    schedule: Schedule, threshold: float = 1e3, horizon: int = 1_000_000
-) -> str:
+def classify_nonsummable(schedule: Schedule) -> str:
     """Classify sum_k alpha_k: 'divergent', 'convergent', 'unknown', or
-    'divergent-empirical' (explicit lists whose partial sums cross the
-    threshold within the horizon).
+    'divergent-empirical' (explicit lists whose partial sums reach
+    NONSUMMABLE_THRESHOLD within NONSUMMABLE_HORIZON steps).
 
     Closed-form families are decided analytically: p-series ground truth
     for polynomial decay, times the strictly positive periodic cosine
@@ -365,8 +346,8 @@ def classify_nonsummable(
         return "divergent"
     if schedule.family in ("polynomial", "cosine"):
         return "divergent" if schedule.gamma <= 1.0 else "convergent"
-    n = min(horizon, len(schedule.values))
-    if float(np.sum(np.asarray(schedule.values[:n]))) >= threshold:
+    n = min(NONSUMMABLE_HORIZON, len(schedule.values))
+    if float(np.sum(np.asarray(schedule.values[:n]))) >= NONSUMMABLE_THRESHOLD:
         return "divergent-empirical"
     return "unknown"
 
@@ -470,8 +451,6 @@ def globalize(
     r: float,
     eps_budget: float,
     splitting: Optional[Splitting] = None,
-    check_pairs: int = 4096,
-    check_radius_factor: float = 2.0,
     seed: int = LIPSCHITZ_SEED,
 ) -> SystemMap:
     """Blend the map into its linearization outside a ball.
@@ -480,7 +459,8 @@ def globalize(
     g~ = g on B_{r/2} exactly, g~ = T outside B_r exactly, and
     Lip(g~ - T) <= eps_budget globally whenever
     Lip((g - T)|B_r) <= eps_budget/4.  Both Lipschitz conditions are
-    verified by sampling (in the splitting max-norm when given); raises
+    verified by sampling GLOBALIZE_PAIRS pairs (in the splitting max-norm
+    when given), the global one on B_{GLOBALIZE_CHECK_FACTOR r}; raises
     BudgetViolated if either sampled estimate exceeds its bound.
     """
     T = np.asarray(T, dtype=float)
@@ -495,7 +475,7 @@ def globalize(
         return np.asarray(system_map.evaluate(x)) - np.asarray(x) @ T.T
 
     local = sample_lipschitz(
-        diff, r, check_pairs, splitting=splitting, dim=dim, seed=seed
+        diff, r, GLOBALIZE_PAIRS, splitting=splitting, dim=dim, seed=seed
     )
     if local > eps_budget / 4.0:
         raise BudgetViolated(
@@ -521,8 +501,8 @@ def globalize(
 
     global_lip = sample_lipschitz(
         blended_diff,
-        check_radius_factor * r,
-        check_pairs,
+        GLOBALIZE_CHECK_FACTOR * r,
+        GLOBALIZE_PAIRS,
         splitting=splitting,
         dim=dim,
         seed=seed + 1,
@@ -543,13 +523,11 @@ def estimate_radius(
     c: float,
     dim: int,
     box: float = 2.0,
-    samples: int = 512,
-    levels: int = 64,
 ) -> float:
     """Largest r in (0, box] with sampled max ||H(x) - H(0)|| <= c over ||x|| <= r.
 
     The sampled sup uses deterministic quasi-random points per candidate
-    radius; the search is a 64-level bisection (the Hessian modulus of
+    radius; the search is a RADIUS_LEVELS-level bisection (the Hessian modulus of
     continuity is nondecreasing in r).  Raises RadiusNotFound when even
     the smallest bisection radius fails, which signals a discontinuous
     or misconfigured Hessian.
@@ -561,7 +539,7 @@ def estimate_radius(
 
     # with the axis endpoints +-e_i, where a modulus such as 3 x_1^2 peaks
     eye = np.eye(dim)
-    base = np.vstack([_sobol_cube(samples, dim, seed=None), eye, -eye])
+    base = np.vstack([_sobol_cube(RADIUS_SAMPLES, dim, seed=None), eye, -eye])
 
     def omega(radius: float) -> float:
         pts = _to_ball(base, radius, euclid)
@@ -571,7 +549,7 @@ def estimate_radius(
     if omega(box) <= c:
         return box
     lo, hi = 0.0, box
-    for _ in range(levels):
+    for _ in range(RADIUS_LEVELS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -612,7 +590,10 @@ class PHCertificate:
     h_unstable: Optional[float] = None  # pp only: first negative eigenvalue
 
     def alpha(self, k) -> np.ndarray:
-        return step_sizes(self.schedule, np.asarray(k))
+        """alpha_k by step_size: a float for an int k, an array over an iterable of ints."""
+        if np.iterable(k):
+            return np.array([step_size(self.schedule, int(j)) for j in k], dtype=float)
+        return np.float64(step_size(self.schedule, int(k)))
 
     def lam(self, k) -> np.ndarray:
         return np.ones_like(np.asarray(k, dtype=float))
@@ -657,7 +638,6 @@ def build_gd_certificate(
     schedule: Schedule,
     hessian: Callable[[np.ndarray], np.ndarray],
     box: float = 2.0,
-    horizon: int = 100_000,
 ) -> PHCertificate:
     """NPH certificate for gradient descent at a strict saddle.
 
@@ -666,7 +646,7 @@ def build_gd_certificate(
     r such that the sampled Hessian modulus stays below c/20 (so that
     Lip((g_k - T_k)|B_r) <= alpha_k * c/20 = eps_k/4).
     """
-    adm = check_admissible(spectral.eigenvalues, schedule, horizon=horizon)
+    adm = check_admissible(spectral.eigenvalues, schedule)
     if len(adm.I_u) == 0:
         raise CertificateFailure(
             "dim(E_u) >= 1 violated: no unstable directions under this schedule"
@@ -749,10 +729,13 @@ def build_pp_certificate(
     )
 
 
-def validate_certificate(cert: PHCertificate, ks: Optional[np.ndarray] = None) -> None:
-    """Check the defining inequalities at sampled k; raises CertificateFailure."""
+def validate_certificate(cert: PHCertificate, ks: Optional[Sequence[int]] = None) -> None:
+    """Check the defining inequalities at sampled k; raises CertificateFailure.
+
+    By default k runs over K, ..., K + 10^4 as Python ints, so any K works.
+    """
     if ks is None:
-        ks = np.arange(cert.K, cert.K + 10_001)
+        ks = range(cert.K, cert.K + 10_001)
     lam, mu, eps = cert.lam(ks), cert.mu(ks), cert.eps(ks)
     if not np.all(lam >= 1.0):
         raise CertificateFailure("lambda_k >= 1 violated")

@@ -14,6 +14,15 @@ from .dynsys import Splitting, SystemMap
 from .graphtransform import GraphFunction, PHPair
 from .phcert import globalize
 
+# random_ph_pair draws lam, mu - lam and eps / ((mu - lam)/4) uniformly
+# from these ranges; the sine perturbation's Lipschitz constant is
+# PAIR_NONLINEARITY * eps
+PAIR_LAM_RANGE = (1.0, 1.3)
+PAIR_GAP_RANGE = (0.5, 1.2)
+PAIR_EPS_FRACTION = (0.2, 0.8)
+PAIR_NONLINEARITY = 0.9
+QUADRATIC_COEFF = 0.01  # coefficient of the quadratic terms of perturbed_quadratic_pair
+
 
 def _dual_max_norm(splitting: Splitting, v: np.ndarray) -> float:
     # dual of max(||.||_cs, ||.||_u) is the sum of the factor norms
@@ -22,30 +31,22 @@ def _dual_max_norm(splitting: Splitting, v: np.ndarray) -> float:
     )
 
 
-def random_ph_pair(
-    rng: np.random.Generator,
-    m: int,
-    n: int,
-    lam_range=(1.0, 1.3),
-    gap_range=(0.5, 1.2),
-    eps_fraction=(0.2, 0.8),
-    nonlinearity=0.9,
-) -> PHPair:
+def random_ph_pair(rng: np.random.Generator, m: int, n: int) -> PHPair:
     """A random globally pseudo-hyperbolic pair with certified constants.
 
     T is built blockwise in a random orthogonal splitting with singular
     values inside [lam/3, lam] on E_cs and [mu, 1.3 mu] on E_u; eps is
     drawn strictly below (mu - lam)/4 and the sine perturbation is
     normalized so its exact global Lipschitz constant (max-norm) is
-    nonlinearity * eps < eps.
+    PAIR_NONLINEARITY * eps < eps.
     """
     d = m + n
     Q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     splitting = Splitting.from_columns(Q[:, :m], Q[:, m:])
 
-    lam = float(rng.uniform(*lam_range))
-    mu = lam + float(rng.uniform(*gap_range))
-    eps = float(rng.uniform(*eps_fraction)) * (mu - lam) / 4.0
+    lam = float(rng.uniform(*PAIR_LAM_RANGE))
+    mu = lam + float(rng.uniform(*PAIR_GAP_RANGE))
+    eps = float(rng.uniform(*PAIR_EPS_FRACTION)) * (mu - lam) / 4.0
 
     def random_block(k, smin, smax):
         U, _ = np.linalg.qr(rng.standard_normal((k, k)))
@@ -64,7 +65,7 @@ def random_ph_pair(
     # max-norm is exactly sum_i a_i after normalizing w_i to unit
     # max-norm and v_i to unit dual norm
     terms = []
-    budget = nonlinearity * eps
+    budget = PAIR_NONLINEARITY * eps
     weights = rng.dirichlet(np.ones(2)) * budget
     for a in weights:
         w = rng.standard_normal(d)
@@ -122,12 +123,12 @@ def split_diagonal_pair(lam: float = 1.0, mu: float = 2.0, eps: float = 0.1) -> 
     return PHPair(g=gmap, T=T, splitting=axes_splitting_2d(), mu=mu, lam=lam, eps=eps)
 
 
-def perturbed_quadratic_pair(eps: float = 0.08, coeff: float = 0.01) -> PHPair:
+def perturbed_quadratic_pair(eps: float = 0.08) -> PHPair:
     """Globalized quadratic perturbation of diag(1, 2) in the plane.
 
-    The raw map g(y, z) = (y + coeff z^2, 2 z + coeff y^2) has
-    Lip((g - T)|B_r) = 2 coeff r in the max-norm, so choosing
-    r = eps / (8 coeff) meets the local eps/4 budget; the bump blend
+    With c = QUADRATIC_COEFF the raw map g(y, z) = (y + c z^2, 2 z + c y^2)
+    has Lip((g - T)|B_r) = 2 c r in the max-norm, so choosing
+    r = eps / (8 c) meets the local eps/4 budget; the bump blend
     then makes the pair globally pseudo-hyperbolic with constant eps.
     """
     T = np.diag([1.0, 2.0])
@@ -136,10 +137,10 @@ def perturbed_quadratic_pair(eps: float = 0.08, coeff: float = 0.01) -> PHPair:
     def raw(x):
         x = np.asarray(x, dtype=float)
         out = x @ T.T
-        out = out + coeff * np.stack([x[..., 1] ** 2, x[..., 0] ** 2], axis=-1)
+        out = out + QUADRATIC_COEFF * np.stack([x[..., 1] ** 2, x[..., 0] ** 2], axis=-1)
         return out
 
-    r = eps / (8.0 * coeff)
+    r = eps / (8.0 * QUADRATIC_COEFF)
     blended = globalize(
         SystemMap(evaluate=raw, label="quadratic"),
         T,

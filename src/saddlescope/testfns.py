@@ -11,8 +11,8 @@ tolerate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Union
 
 import numpy as np
 

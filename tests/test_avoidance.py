@@ -31,7 +31,7 @@ from saddlescope.dynsys import (
     run_trajectory,
     tail_of,
 )
-from saddlescope.optimizers import gd_system
+from saddlescope.optimizers import gd_system, rgd_system, tangent_basis
 from saddlescope.phcert import (
     StepTooLarge,
     constant_schedule,
@@ -567,3 +567,23 @@ def test_luzin_rgd_runs_and_is_deterministic():
     r2 = luzin_scan("rayleigh_sphere", "rgd", [0.3], x_samples=50, seed=9)
     assert r1.to_json() == r2.to_json()
     assert r1.flagged == []
+
+
+def test_luzin_rgd_determinants_match_per_point():
+    # the reference takes det(Q(g(x))^T J(x) Q(x)) one sample at a time
+    entry = get("rayleigh_sphere")
+    alphas = [0.1, 0.5, 1.0]
+    report = luzin_scan("rayleigh_sphere", "rgd", alphas, x_samples=300, seed=5)
+    assert report.flagged == []
+    for j, alpha in enumerate(alphas):
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=5, spawn_key=(j,)))
+        )
+        X = rng.standard_normal((300, 3))
+        X /= np.linalg.norm(X, axis=1, keepdims=True)
+        g = rgd_system(entry.objective, constant_schedule(alpha)).map_at(0)
+        dets = [
+            np.linalg.det(tangent_basis(g.evaluate(x)).T @ g.jacobian(x) @ tangent_basis(x))
+            for x in X
+        ]
+        assert report.min_abs_det[j] == pytest.approx(min(map(abs, dets)), rel=1e-12)

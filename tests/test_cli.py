@@ -348,6 +348,20 @@ def test_luzin_1d(capsys):
     assert sorted({f["alpha"] for f in report["flagged"]}) == [1.0]
 
 
+@pytest.mark.parametrize(
+    "objective,algo",
+    [("rayleigh_sphere", "pp"), ("rayleigh_sphere", "gd"), ("double_well", "rgd")],
+)
+def test_luzin_mismatched_objective_exits_one(objective, algo, capsys):
+    code, out, err = run_cli(
+        ["luzin", "--objective", objective, "--algo", algo, "--alpha-grid", "0.1"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+
+
 # --- evolve ---------------------------------------------------------------------
 
 

@@ -136,15 +136,29 @@ def test_rgd_stays_on_sphere_long_run():
 
 def test_rgd_jacobian_matches_finite_differences():
     entry = get("rayleigh_sphere")
-    sys_ = rgd_system(entry.objective, constant_schedule(0.3))
+    g = rgd_system(entry.objective, constant_schedule(0.3)).map_at(0)
     rng = np.random.default_rng(4)
-    for _ in range(5):
-        x = rng.standard_normal(3)
-        x /= np.linalg.norm(x)
-        J = sys_.map_at(0).jacobian(x)
-        np.testing.assert_allclose(
-            J, fd_jacobian(sys_.map_at(0).evaluate, x), rtol=1e-5, atol=1e-7
-        )
+    X = rng.standard_normal((40, 3))
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
+    J = g.jacobian(X)
+    assert J.shape == (40, 3, 3)
+    for x, Jx in zip(X, J):
+        # a batch gives each row the bits of its own one-point call
+        np.testing.assert_array_equal(Jx, g.jacobian(x))
+    for x, Jx in zip(X[:5], J[:5]):
+        np.testing.assert_allclose(Jx, fd_jacobian(g.evaluate, x), rtol=1e-5, atol=1e-7)
+
+
+def test_tangent_basis_batched_matches_rows():
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((4, 6, 3))
+    X /= np.linalg.norm(X, axis=-1, keepdims=True)
+    Q = tangent_basis(X)
+    assert Q.shape == (4, 6, 3, 2)
+    assert tangent_basis(X[0, 0]).shape == (3, 2)
+    for i in range(4):
+        for j in range(6):
+            np.testing.assert_array_equal(Q[i, j], tangent_basis(X[i, j]))
 
 
 def test_rgd_zero_denominator():

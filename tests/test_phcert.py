@@ -28,9 +28,9 @@ from saddlescope.phcert import (
     sample_lipschitz,
     schedule_sup,
     step_size,
-    step_sizes,
     validate_certificate,
 )
+from saddlescope.testfns import get
 
 # --- schedules --------------------------------------------------------------
 
@@ -63,19 +63,6 @@ def test_step_size_k0_is_alpha0_for_all_families():
         assert step_size(sched, 0) == 0.7
 
 
-def test_step_sizes_vectorized_matches_scalar():
-    for sched in (
-        constant_schedule(0.7),
-        polynomial_schedule(0.7, 0.5),
-        cosine_schedule(0.9, 0.75, 2),
-        explicit_schedule([0.5, 0.4, 0.3]),
-    ):
-        ks = np.arange(3)
-        np.testing.assert_array_equal(
-            step_sizes(sched, ks), [step_size(sched, int(k)) for k in ks]
-        )
-
-
 def test_step_size_rejects_gamma_out_of_range():
     sched = polynomial_schedule(1.0, 2.0)  # construction OK (classification)
     with pytest.raises(InvalidParameter):
@@ -86,8 +73,8 @@ def test_cosine_factor_strictly_positive():
     # the cosine term is periodic and never hits -1, so alpha_k > 0
     for T in (0, 1, 4, 9):
         sched = cosine_schedule(1.0, 1.0, T)
-        alphas = step_sizes(sched, np.arange(1, 5 * (2 * T + 1)))
-        assert np.all(alphas > 0)
+        alphas = [step_size(sched, k) for k in range(1, 5 * (2 * T + 1))]
+        assert min(alphas) > 0
 
 
 def test_schedule_sup():
@@ -187,8 +174,8 @@ def test_admissible_cosine_smallest_K():
     h = np.array([2.0, -0.5])
     res = check_admissible(h, sched)
     bound = 2.0 / 2.0
-    alphas = step_sizes(sched, np.arange(res.K, res.K + 2000))
-    assert np.all(alphas <= bound + 1e-15)
+    alphas = [step_size(sched, k) for k in range(res.K, res.K + 2000)]
+    assert max(alphas) <= bound + 1e-15
     if res.K > 0:
         assert step_size(sched, res.K - 1) > bound
 
@@ -470,6 +457,29 @@ def test_gd_certificate_double_well_radius():
     np.testing.assert_allclose(cert.mu(np.arange(5)), 1.1)
     np.testing.assert_allclose(cert.eps(np.arange(5)), 0.02)
     assert cert.r == pytest.approx(math.sqrt(0.05 / 3.0), abs=5e-3)
+
+
+def test_certificate_alpha_is_step_size_bitwise():
+    # certificates and the stepping engine read alpha_k from one source
+    spectral, hess = quad_saddle_spectral()
+    sched = polynomial_schedule(0.5, 0.5)
+    cert = build_gd_certificate(spectral, sched, hess)
+    ks = np.arange(200_000)
+    want = np.array([step_size(sched, k) for k in range(200_000)])
+    assert np.array_equal(cert.alpha(ks), want)
+    assert cert.alpha(7) == step_size(sched, 7)
+    np.testing.assert_array_equal(cert.mu(ks), 1.0 + cert.c * want)
+
+
+def test_validate_certificate_beyond_int64_K():
+    # cos:0.01:4:5 on double_well keeps alpha_k above 2/h_max = 2 until
+    # K ~ 3.7e69, far beyond any fixed-width integer
+    hess = get("double_well").objective.hess
+    sched = cosine_schedule(5.0, 0.01, 4)
+    cert = build_gd_certificate(SpectralData.from_hessian(hess(np.zeros(2))), sched, hess)
+    assert cert.K > 2**64
+    validate_certificate(cert)
+    assert cert.alpha(cert.K) == step_size(sched, cert.K)
 
 
 def test_gd_certificate_eps_strictly_inside_quarter_gap():
