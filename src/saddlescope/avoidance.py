@@ -441,15 +441,24 @@ def run_matrix(cells: Sequence[dict], threads: Optional[int] = None) -> list:
     """Run many avoidance cells, process-parallel, in deterministic order.
 
     Each cell is a kwargs dict for monte_carlo_avoidance.  Results come
-    back in input order; per-cell outputs are independent of the worker
-    count (all randomness is per-trial substreams of the cell seed).
-    SADDLESCOPE_THREADS caps the worker pool.
+    back in input order: a cell's AvoidanceReport, or the exception the
+    cell raised, so one failing cell costs no other cell its report.
+    Per-cell outputs are independent of the worker count (all randomness
+    is per-trial substreams of the cell seed).  SADDLESCOPE_THREADS caps
+    the worker pool.
     """
     workers = min(threads or thread_cap(), max(len(cells), 1))
     if workers <= 1 or len(cells) <= 1:
-        return [_run_cell(c) for c in cells]
+        results = []
+        for c in cells:
+            try:
+                results.append(_run_cell(c))
+            except Exception as exc:
+                results.append(exc)
+        return results
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_cell, cells))
+        futures = [pool.submit(_run_cell, c) for c in cells]
+        return [f.exception() or f.result() for f in futures]
 
 
 # --- sampled Luzin N^-1 rank scan ------------------------------------------------

@@ -5,7 +5,7 @@ and lemma verification), avoid (Monte Carlo saddle avoidance), luzin
 (Jacobian rank scans), evolve (single trajectories as CSV).  Exit codes:
 0 success, 1 configuration error, 2 certificate/verifier failure,
 3 avoidance violation.  Outputs land under --output DIR in certs/,
-graphs/, avoid/, luzin/, evolve/.  SADDLESCOPE_THREADS caps concurrency.
+graphs/, avoid/, luzin/, evolve/.  Every subcommand runs in one process.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_CERT = 2
 EXIT_AVOID = 3
+PULLBACK_FD_STEP = 1e-5  # finite-difference step of pullback_hessian
 
 
 class ConfigError(Exception):
@@ -119,12 +120,13 @@ def _get_entry(key: str) -> testfns.CataloguedObjective:
         raise ConfigError(str(exc)) from exc
 
 
-def pullback_hessian(objective: SphereObjective, base: np.ndarray, h: float = 1e-5):
+def pullback_hessian(objective: SphereObjective, base: np.ndarray):
     """FD Hessian of the tangent-chart pullback cost at a sphere point."""
     from .optimizers import sphere_exp
 
     Q = tangent_basis(base)
     k = base.size - 1
+    h = PULLBACK_FD_STEP
 
     def f(V):
         return objective.f(sphere_exp(base, np.asarray(V) @ Q.T))
@@ -153,7 +155,12 @@ def pullback_hessian(objective: SphereObjective, base: np.ndarray, h: float = 1e
 
 
 def saddle_certificates(entry, algorithm: str, schedule: Schedule, L=None, box=2.0):
-    """Build one certificate per catalogued strict saddle."""
+    """Build one certificate per catalogued strict saddle.
+
+    Certificate radii bound the Hessian modulus on a ball about the
+    origin, so each saddle's Hessian is taken in coordinates centred at
+    it (the sphere's tangent-chart pullback already is).
+    """
     results = []
     saddles = [
         cp for cp in entry.critical_points if cp.classification == STRICT_SADDLE
@@ -176,16 +183,15 @@ def saddle_certificates(entry, algorithm: str, schedule: Schedule, L=None, box=2
         else:
             H0 = np.asarray(entry.objective.hess(point))
             spectral = SpectralData.from_hessian(H0)
+            hess = lambda X: entry.objective.hess(X + point)
             if algorithm == "gd":
-                cert = build_gd_certificate(
-                    spectral, schedule, entry.objective.hess, box=box
-                )
+                cert = build_gd_certificate(spectral, schedule, hess, box=box)
             elif algorithm == "pp":
                 Lval = L if L is not None else entry.objective.lipschitz_L
                 if Lval is None:
                     raise ConfigError("pp certification needs --L")
                 cert = build_pp_certificate(
-                    spectral, schedule, Lval, hessian=entry.objective.hess, box=box
+                    spectral, schedule, Lval, hessian=hess, box=box
                 )
             else:
                 raise ConfigError("Euclidean objectives take --algo gd or pp")
@@ -257,7 +263,6 @@ def cmd_graphs(args) -> int:
             tol=args.tol,
             radius=args.radius,
             delta=args.delta,
-            return_chain=True,
         )
     except IncompatibleSplitting as exc:
         print(f"IncompatibleSplitting: {exc}", file=sys.stderr)
@@ -327,8 +332,6 @@ def cmd_graphs(args) -> int:
 def cmd_avoid(args) -> int:
     entry = _get_entry(args.objective)
     schedule = parse_schedule(args.schedule)
-    if args.trials < 1:
-        raise ConfigError("trials must be >= 1")
     probes = [parse_vector(p) for p in args.init_on or []]
     try:
         report = avoidance.monte_carlo_avoidance(
@@ -406,7 +409,8 @@ def cmd_evolve(args) -> int:
     for k, x in zip(record.step_indices, record.iterates):
         lines.append(",".join([str(int(k))] + [f"{float(v):.17g}" for v in x]))
     lines.append(
-        f"# classification={record.classification} steps={record.steps_taken}"
+        f"# classification={avoidance.classify_limit(record, entry)} "
+        f"steps={record.steps_taken}"
     )
     text = "\n".join(lines)
     out = _outdir(args, "evolve")
@@ -490,10 +494,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InvalidParameter as exc:
+    except (ConfigError, InvalidParameter) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

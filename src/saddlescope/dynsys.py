@@ -21,8 +21,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 DEFAULT_STORE_CAP = 10_000
-DEFAULT_STORE_STRIDE = 100
-DEFAULT_TAIL = 60
+STORE_STRIDE = 100  # run_trajectory keeps every STORE_STRIDE-th iterate past store_cap
+STOP_WINDOW = 10  # consecutive small steps that stop run_trajectory
+TAIL_LENGTH = 60  # trailing iterates a record keeps; at least STOP_WINDOW
 DIVERGENCE_RADIUS = 1e8  # a finite iterate beyond this norm has diverged
 
 
@@ -41,7 +42,8 @@ class SystemMap:
     evaluate must be deterministic and vectorized over leading axes:
     input (..., d) -> output (..., d).  jacobian, when present, is
     vectorized the same way: (..., d) -> the (..., d, d) Jacobian
-    matrices, so a single point (d,) gives one (d, d) matrix.
+    matrices, so a single point (d,) gives one (d, d) matrix.  label is
+    free text for callers; no saddlescope map sets one.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
@@ -258,38 +260,34 @@ def run_trajectory(
     x0: np.ndarray,
     max_steps: int,
     stop_tol: float,
-    window: int = 10,
     store_cap: int = DEFAULT_STORE_CAP,
-    store_stride: int = DEFAULT_STORE_STRIDE,
-    tail: int = DEFAULT_TAIL,
 ) -> TrajectoryRecord:
     """Iterate the system from x0 and record the trajectory.
 
-    A one-row evolve_batch, with its stop and divergence rules; a
-    diverged trajectory is classified "diverged", any other "undecided"
-    (resolve limits against a catalogue downstream).  Storage keeps every
-    iterate up to store_cap steps, every store_stride-th one beyond that,
-    the trailing max(window, tail) finite iterates and a finite blow-up.
+    A one-row evolve_batch that stops after STOP_WINDOW small steps, with
+    its divergence rules; a diverged trajectory is classified "diverged",
+    any other "undecided" (classify_limit resolves it against a
+    catalogue).  Storage keeps every iterate up to store_cap steps, every
+    STORE_STRIDE-th one beyond that, the trailing TAIL_LENGTH finite
+    iterates and a finite blow-up.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     if stop_tol <= 0:
         raise ValueError("stop_tol must be positive")
-    if store_stride < 1:
-        raise ValueError("store_stride must be >= 1")
 
     x0 = np.asarray(x0, dtype=float)
-    keep = max(window, tail)
-    # a spare ring slot: a non-finite blow-up still leaves `keep` states
+    # a spare ring slot: a non-finite blow-up still leaves TAIL_LENGTH states
     ring, steps, status, history = evolve_batch(
-        system, x0.reshape(1, -1), max_steps, stop_tol, window, keep + 1, store_cap, store_stride
+        system, x0.reshape(1, -1), max_steps, stop_tol, STOP_WINDOW, TAIL_LENGTH + 1,
+        store_cap, STORE_STRIDE,
     )
     diverged = status[0] == DIVERGED
     tail_ks, tail_X = tail_of(ring, steps, 0)
     if not diverged:
-        tail_ks, tail_X = tail_ks[-keep:], tail_X[-keep:]
+        tail_ks, tail_X = tail_ks[-TAIL_LENGTH:], tail_X[-TAIL_LENGTH:]
     ks = np.arange(steps[0] + 1)
-    ks = ks[(ks <= store_cap) | (ks % store_stride == 0)]
+    ks = ks[(ks <= store_cap) | (ks % STORE_STRIDE == 0)]
     X = history[: len(ks), 0]
     finite = np.all(np.isfinite(X), axis=1)
     ks, first = np.unique(np.concatenate([ks[finite], tail_ks]), return_index=True)

@@ -333,15 +333,14 @@ def compose_phi(
     tol: float,
     radius: float = DEFAULT_RADIUS,
     delta: float = DEFAULT_DELTA,
-    return_chain: bool = False,
-):
+) -> list:
     """Composed transforms of the zero function, applied right to left.
 
-    With pairs = (p_kbar, ..., p_kend) this produces
-    Gamma_kbar(... Gamma_kend(zero function) ...).  All pairs must share
-    one splitting.  With return_chain=True, returns the list whose j-th
-    entry is the composition starting at pair j (consecutive entries
-    satisfy chain[j] = Gamma_j(chain[j+1]), the graph-invariance chain).
+    With pairs = (p_kbar, ..., p_kend), returns the chain whose j-th
+    entry is the composition starting at pair j, so chain[0] is
+    Gamma_kbar(... Gamma_kend(zero function) ...) and consecutive entries
+    satisfy chain[j] = Gamma_j(chain[j+1]), the graph-invariance chain.
+    All pairs must share one splitting.
     """
     if len(pairs) == 0:
         raise ValueError("need at least one pair")
@@ -361,7 +360,7 @@ def compose_phi(
         phi = graph_transform(pair, phi, tol)
         chain.append(phi)
     chain.reverse()
-    return chain if return_chain else phi
+    return chain
 
 
 def potential(phi: GraphFunction, splitting: Splitting, x: np.ndarray) -> np.ndarray:

@@ -31,9 +31,9 @@ class InnerSolveFailed(RuntimeError):
 class Objective:
     """A C^2 cost with gradient and Hessian callables.
 
-    lipschitz_L, when set, bounds ||hess(x)|| over the declared box (a
-    global bound for genuinely L-smooth objectives; a documented
-    box-local surrogate otherwise).
+    lipschitz_L, when set, bounds ||hess(x)|| (a global bound for
+    genuinely L-smooth objectives; a documented box-local surrogate
+    otherwise).
     """
 
     f: Callable[[np.ndarray], np.ndarray]
@@ -41,8 +41,6 @@ class Objective:
     hess: Callable[[np.ndarray], np.ndarray]
     dim: int
     lipschitz_L: Optional[float] = None
-    box: float = 2.0
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -54,10 +52,6 @@ class SphereObjective:
     @property
     def dim(self) -> int:
         return self.ambient.dim
-
-    @property
-    def label(self) -> str:
-        return self.ambient.label
 
     def f(self, x: np.ndarray) -> np.ndarray:
         return self.ambient.f(x)
@@ -149,7 +143,7 @@ def gd_system(objective: Objective, schedule: Schedule) -> NonAutonomousSystem:
         def jacobian(x):
             return np.eye(objective.dim) - alpha * np.asarray(objective.hess(x))
 
-        return SystemMap(evaluate, jacobian, label=f"gd[k={k}, a={alpha:g}]")
+        return SystemMap(evaluate, jacobian)
 
     return NonAutonomousSystem(map_at, objective.dim)
 
@@ -185,7 +179,7 @@ def rgd_system(objective: SphereObjective, schedule: Schedule) -> NonAutonomousS
             what = w[..., :, None] / nw
             return (eye - what * np.swapaxes(what, -1, -2)) @ Dw / nw
 
-        return SystemMap(evaluate, jacobian, label=f"rgd[k={k}, a={alpha:g}]")
+        return SystemMap(evaluate, jacobian)
 
     return NonAutonomousSystem(map_at, objective.dim)
 
@@ -217,7 +211,7 @@ def prox_solve(
     # sqrt(sum of squares): the bits of np.linalg.norm without its overhead
     tol = np.maximum(inner_tol, _ROUNDING_FLOOR * np.sqrt(np.add.reduce(X * X, axis=-1)))
     for _ in range(PROX_MAX_ITER + 1):
-        F = Z + alpha * np.asarray(objective.grad(Z), dtype=float) - X
+        F = prox_inverse(objective, alpha, Z) - X
         done = np.sqrt(np.add.reduce(F * F, axis=-1)) <= tol
         if done.all():
             return Z
@@ -261,7 +255,7 @@ def pp_system(
                 np.eye(objective.dim) + alpha * np.asarray(objective.hess(z))
             )
 
-        return SystemMap(evaluate, jacobian, label=f"pp[k={k}, a={alpha:g}]")
+        return SystemMap(evaluate, jacobian)
 
     return NonAutonomousSystem(map_at, objective.dim)
 
@@ -372,6 +366,6 @@ def lift_to_tangent(
                 raise OutsideChart("iterate left the tangent chart")
             return sphere_log(base, p1) @ Q
 
-        return SystemMap(evaluate, None, label=f"lifted[{inner.label}]")
+        return SystemMap(evaluate)
 
     return NonAutonomousSystem(map_at, objective.dim - 1)

@@ -33,12 +33,7 @@ class InvalidParameter(ValueError):
 
 
 class NotAdmissible(Exception):
-    """Admissibility check failed; carries the violating index/condition."""
-
-    def __init__(self, message: str, index: Optional[int] = None, condition: str = ""):
-        super().__init__(message)
-        self.index = index
-        self.condition = condition
+    """Admissibility check failed; the message names the violation."""
 
 
 class RadiusNotFound(RuntimeError):
@@ -299,8 +294,7 @@ def check_admissible(eigenvalues: np.ndarray, schedule: Schedule) -> Admissibili
         except OverflowError:
             raise NotAdmissible(
                 f"{schedule.describe()}: alpha_k exceeds 2/h_max = {bound:g} "
-                "at step indices beyond the float range",
-                condition="(i) eventual partition",
+                "at step indices beyond the float range"
             ) from None
         return AdmissibilityResult(K, I_cs, I_u, c)
 
@@ -319,9 +313,7 @@ def check_admissible(eigenvalues: np.ndarray, schedule: Schedule) -> Admissibili
         bad = int(np.flatnonzero(unstable[flip] != final)[0])
         raise NotAdmissible(
             f"partition for eigenvalue index {bad} still flipping at k={flip} "
-            f"(checked horizon {n})",
-            index=bad,
-            condition="(i) eventual partition",
+            f"(checked horizon {n})"
         )
     I_u = frozenset(np.flatnonzero(final).tolist())
     I_cs = frozenset(range(d)) - I_u
@@ -492,9 +484,7 @@ def globalize(
         # bitwise; the blend only acts on the transition band
         return np.where(q == 1.0, gx, np.where(q == 0.0, tx, tx + q * (gx - tx)))
 
-    blended = SystemMap(
-        evaluate=evaluate, jacobian=None, label=f"globalized[{system_map.label}]"
-    )
+    blended = SystemMap(evaluate)
 
     def blended_diff(x):
         return blended.evaluate(x) - np.asarray(x) @ T.T

@@ -22,6 +22,7 @@ PAIR_GAP_RANGE = (0.5, 1.2)
 PAIR_EPS_FRACTION = (0.2, 0.8)
 PAIR_NONLINEARITY = 0.9
 QUADRATIC_COEFF = 0.01  # coefficient of the quadratic terms of perturbed_quadratic_pair
+F1_GRAPH_LIP = 0.85  # true Lipschitz constant of random_f1_graph's members
 
 
 def _dual_max_norm(splitting: Splitting, v: np.ndarray) -> float:
@@ -81,7 +82,7 @@ def random_ph_pair(rng: np.random.Generator, m: int, n: int) -> PHPair:
             out = out + a * np.sin(x @ v)[..., None] * w
         return out
 
-    gmap = SystemMap(evaluate=evaluate, label=f"synthetic({m},{n})")
+    gmap = SystemMap(evaluate)
     return PHPair(g=gmap, T=T, splitting=splitting, mu=mu, lam=lam, eps=eps)
 
 
@@ -91,17 +92,16 @@ def random_f1_graph(
     n: int,
     radius: float = 1.0,
     delta: float = 1.0 / 64.0,
-    lip: float = 0.85,
 ) -> GraphFunction:
-    """A smooth random graph-class member with true Lipschitz <= lip.
+    """A smooth random graph-class member with true Lipschitz <= F1_GRAPH_LIP.
 
-    phi(y) = C tanh(W y) scaled so ||C|| ||W|| = lip; smoothness keeps
+    phi(y) = C tanh(W y) scaled so ||C|| ||W|| = F1_GRAPH_LIP; smoothness keeps
     the lattice sampling a faithful member of the class (the interpolant
     inherits the bound up to curvature * delta).
     """
     W = rng.standard_normal((m, m)) + np.eye(m)
     C = rng.standard_normal((n, m))
-    scale = lip / (np.linalg.norm(C, 2) * np.linalg.norm(W, 2))
+    scale = F1_GRAPH_LIP / (np.linalg.norm(C, 2) * np.linalg.norm(W, 2))
     C = C * scale
 
     def fn(y):
@@ -119,7 +119,7 @@ def axes_splitting_2d() -> Splitting:
 def split_diagonal_pair(lam: float = 1.0, mu: float = 2.0, eps: float = 0.1) -> PHPair:
     """The linear 1-d/1-d pair g = T = diag(lam, mu) on the axes splitting."""
     T = np.diag([lam, mu])
-    gmap = SystemMap(evaluate=lambda x: np.asarray(x, dtype=float) @ T.T, label="diag")
+    gmap = SystemMap(lambda x: np.asarray(x, dtype=float) @ T.T)
     return PHPair(g=gmap, T=T, splitting=axes_splitting_2d(), mu=mu, lam=lam, eps=eps)
 
 
@@ -142,7 +142,7 @@ def perturbed_quadratic_pair(eps: float = 0.08) -> PHPair:
 
     r = eps / (8.0 * QUADRATIC_COEFF)
     blended = globalize(
-        SystemMap(evaluate=raw, label="quadratic"),
+        SystemMap(raw),
         T,
         r=r,
         eps_budget=eps,

@@ -95,7 +95,7 @@ def _quad_1d() -> CataloguedObjective:
         x = np.asarray(x, dtype=float)
         return np.ones(x.shape[:-1] + (1, 1))
 
-    obj = Objective(f, grad, hess, dim=1, lipschitz_L=1.0, label="quad_1d")
+    obj = Objective(f, grad, hess, dim=1, lipschitz_L=1.0)
     return CataloguedObjective(
         "quad_1d", obj, (CriticalPoint(np.zeros(1), MIN, (1.0,)),)
     )
@@ -116,7 +116,7 @@ def _quad_saddle() -> CataloguedObjective:
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(H, x.shape[:-1] + (2, 2))
 
-    obj = Objective(f, grad, hess, dim=2, lipschitz_L=1.0, label="quad_saddle")
+    obj = Objective(f, grad, hess, dim=2, lipschitz_L=1.0)
     saddle = CriticalPoint(np.zeros(2), STRICT_SADDLE, (1.0, -1.0))
     return CataloguedObjective("quad_saddle", obj, (saddle,))
 
@@ -139,7 +139,7 @@ def _double_well() -> CataloguedObjective:
 
     # gradient is cubic, so not globally Lipschitz; L = max(3*9 - 1, 1)
     # is a declared surrogate on the test box [-3, 3]^2
-    obj = Objective(f, grad, hess, dim=2, lipschitz_L=26.0, box=3.0, label="double_well")
+    obj = Objective(f, grad, hess, dim=2, lipschitz_L=26.0)
     points = (
         CriticalPoint(np.array([1.0, 0.0]), MIN, (2.0, 1.0)),
         CriticalPoint(np.array([-1.0, 0.0]), MIN, (2.0, 1.0)),
@@ -165,7 +165,7 @@ def _saddle_line() -> CataloguedObjective:
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(H, x.shape[:-1] + (3, 3))
 
-    obj = Objective(f, grad, hess, dim=3, lipschitz_L=1.0, label="saddle_line")
+    obj = Objective(f, grad, hess, dim=3, lipschitz_L=1.0)
     family = CriticalFamily(
         sample=lambda t: np.stack(
             [np.zeros_like(t), np.zeros_like(t), np.asarray(t, dtype=float)], axis=-1
@@ -194,7 +194,7 @@ def _rayleigh_sphere() -> CataloguedObjective:
         x = np.asarray(x, dtype=float)
         return np.broadcast_to(D, x.shape[:-1] + (3, 3))
 
-    ambient = Objective(f, grad, hess, dim=3, lipschitz_L=3.0, label="rayleigh_sphere")
+    ambient = Objective(f, grad, hess, dim=3, lipschitz_L=3.0)
     obj = SphereObjective(ambient)
     # Riemannian Hessian spectrum at eigenvector e_j is {h_i - h_j : i != j}
     points = []

@@ -128,7 +128,7 @@ def test_criterion_03_closed_form():
     nodes = out.node_coords()[:, 0]
     assert np.max(np.abs(out.nodal_values()[:, 0] - nodes / 2.0)) <= 1e-10
     for horizon in (1, 5, 20):
-        phi = compose_phi([pair] * horizon, tol=1e-12)
+        phi = compose_phi([pair] * horizon, tol=1e-12)[0]
         assert np.all(phi.values == 0.0)
     dt = time.perf_counter() - t0
     assert dt < 10.0
@@ -329,7 +329,7 @@ def test_criterion_07_pp_inverse():
     dw = get("double_well").objective
     alpha = 0.01
     rng = np.random.default_rng(7)
-    X = rng.uniform(-dw.box, dw.box, size=(1000, 2))
+    X = rng.uniform(-3.0, 3.0, size=(1000, 2))  # the box of double_well's declared L
     Z = prox_solve(dw, alpha, X, inner_tol=1e-12)
     assert np.max(np.linalg.norm(prox_inverse(dw, alpha, Z) - X, axis=1)) <= 1e-10
 

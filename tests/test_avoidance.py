@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from saddlescope import avoidance
+from saddlescope import avoidance, dynsys
 from saddlescope.avoidance import (
     VERDICTS,
     AvoidanceReport,
@@ -209,12 +209,10 @@ def test_batch_matches_run_trajectory_bitwise():
     rng = np.random.default_rng(5)
     X0 = rng.uniform(-2, 2, size=(7, 2))
     ring, steps, status, _ = _evolve_batch(
-        system, X0, max_steps=300, stop_tol=1e-9, window=12, tail_len=20
+        system, X0, max_steps=300, stop_tol=1e-9, window=dynsys.STOP_WINDOW, tail_len=20
     )
     for i in range(7):
-        rec = run_trajectory(
-            system, X0[i], max_steps=300, stop_tol=1e-9, window=12, tail=20
-        )
+        rec = run_trajectory(system, X0[i], max_steps=300, stop_tol=1e-9)
         assert rec.steps_taken == int(steps[i])
         _, tail = tail_of(ring, steps, i)
         np.testing.assert_array_equal(tail, rec.tail(len(tail)))
@@ -233,12 +231,10 @@ def test_batch_matches_run_trajectory_bitwise_per_algorithm(key, algo, alpha0):
     if entry.is_sphere:
         X0 /= np.linalg.norm(X0, axis=1, keepdims=True)
     ring, steps, status, _ = _evolve_batch(
-        system, X0, max_steps=300, stop_tol=1e-9, window=12, tail_len=20
+        system, X0, max_steps=300, stop_tol=1e-9, window=dynsys.STOP_WINDOW, tail_len=20
     )
     for i in range(7):
-        rec = run_trajectory(
-            system, X0[i], max_steps=300, stop_tol=1e-9, window=12, tail=20
-        )
+        rec = run_trajectory(system, X0[i], max_steps=300, stop_tol=1e-9)
         assert rec.steps_taken == int(steps[i])
         _, tail = tail_of(ring, steps, i)
         np.testing.assert_array_equal(tail, rec.tail(len(tail)))
@@ -517,6 +513,21 @@ def test_run_matrix_orders_results():
     assert [r.seed for r in reports] == [1, 2, 3]
     solo = monte_carlo_avoidance(**cells[1])
     assert reports[1].to_json() == solo.to_json()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_matrix_isolates_a_failing_cell(threads):
+    # pp on double_well needs sup alpha_k < 1/26, so the first cell fails
+    bad = dict(objective_key="double_well", algorithm="pp", schedule=constant_schedule(0.5),
+               trials=8, seed=1)
+    good = dict(objective_key="quad_saddle", algorithm="gd", schedule=constant_schedule(0.5),
+                trials=8, seed=2)
+    results = run_matrix([bad, good], threads=threads)
+    assert isinstance(results[0], StepTooLarge)
+    assert "sup alpha_k = 0.5 is not below 1/L" in str(results[0])
+    solo = monte_carlo_avoidance(**good)
+    assert results[1].to_json() == solo.to_json()
+    assert results[1].to_csv() == solo.to_csv()
 
 
 def test_csv_shape():

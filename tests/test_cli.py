@@ -2,11 +2,14 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from saddlescope.cli import main, parse_schedule, parse_vector, ConfigError
+from saddlescope.cli import main, parse_schedule, parse_vector, saddle_certificates, ConfigError
+from saddlescope.optimizers import Objective
+from saddlescope.testfns import get
 
 
 def run_cli(args, capsys):
@@ -77,6 +80,31 @@ def test_certify_double_well_gd_radius_within_analytic(capsys):
     assert code == 0
     for cert in json.loads(out)["certificates"]:
         assert cert["r"] <= math.sqrt(0.05 / 3.0) * (1.0 + 1e-12)
+
+
+def _shifted_double_well(shift):
+    entry = get("double_well")
+    obj = entry.objective
+    moved = Objective(
+        lambda x: obj.f(np.asarray(x) - shift),
+        lambda x: obj.grad(np.asarray(x) - shift),
+        lambda x: obj.hess(np.asarray(x) - shift),
+        dim=2,
+        lipschitz_L=obj.lipschitz_L,
+    )
+    points = tuple(replace(cp, point=cp.point + shift) for cp in entry.critical_points)
+    return replace(entry, objective=moved, critical_points=points)
+
+
+@pytest.mark.parametrize("algo, spec", [("gd", "const:0.5"), ("pp", "const:0.03")])
+def test_certificate_radius_is_centred_at_the_saddle(algo, spec):
+    # the same double_well with its saddle moved to (0.7, 0) certifies
+    # the same radius
+    schedule = parse_schedule(spec)
+    [(_, cert)] = saddle_certificates(get("double_well"), algo, schedule)
+    [(point, moved)] = saddle_certificates(_shifted_double_well(np.array([0.7, 0.0])), algo, schedule)
+    np.testing.assert_array_equal(point, [0.7, 0.0])
+    assert moved.r == pytest.approx(cert.r, rel=1e-12)
 
 
 def test_certify_pp_small_gamma_finishes():
@@ -308,7 +336,7 @@ def test_avoid_probe_dimension_config_error(capsys):
 
 
 def test_avoid_zero_trials_config_error(capsys):
-    code, _, _ = run_cli(
+    code, _, err = run_cli(
         [
             "avoid",
             "--objective",
@@ -323,6 +351,7 @@ def test_avoid_zero_trials_config_error(capsys):
         capsys,
     )
     assert code == 1
+    assert err == "config error: trials must be >= 1\n"
 
 
 # --- luzin ----------------------------------------------------------------------
@@ -410,6 +439,16 @@ def test_evolve_blowup_footer(capsys):
     )
     assert code == 0
     assert "# classification=diverged" in out
+
+
+def test_evolve_reports_catalogue_verdict(capsys):
+    code, out, _ = run_cli(
+        ["evolve", "--objective", "double_well", "--algo", "gd", "--schedule", "const:0.5",
+         "--init=0.5,0.5", "--steps", "2000"],
+        capsys,
+    )
+    assert code == 0
+    assert out.rstrip("\n").split("\n")[-1] == "# classification=converged_minimizer steps=48"
 
 
 def test_evolve_negative_init(capsys):

@@ -35,7 +35,7 @@ def test_run_trajectory_fixed_point_stays_put():
     system = NonAutonomousSystem(lambda k: gd_map(quad_saddle_grad, 0.3), 2)
     rec = run_trajectory(system, np.zeros(2), max_steps=100, stop_tol=1e-12)
     assert np.all(rec.iterates == 0.0)
-    # displacement 0 for the stop window, so it stops after `window` steps
+    # displacement 0, so it stops after STOP_WINDOW steps
     assert rec.steps_taken < 100
 
 
@@ -110,20 +110,16 @@ def test_run_trajectory_is_one_engine_call(monkeypatch):
 def test_run_trajectory_sampled_storage():
     system = NonAutonomousSystem(lambda k: SystemMap(lambda x: x * 0.999999), 1)
     rec = run_trajectory(
-        system,
-        np.array([1.0]),
-        max_steps=2000,
-        stop_tol=1e-300,
-        store_cap=100,
-        store_stride=500,
-        tail=30,
+        system, np.array([1.0]), max_steps=2000, stop_tol=1e-300, store_cap=100
     )
+    assert dynsys.STORE_STRIDE == 100 and dynsys.TAIL_LENGTH == 60
     ks = set(rec.step_indices.tolist())
     assert {0, 1, 100}.issubset(ks)
-    assert 101 not in ks  # beyond cap, only strided + tail survive
-    assert {500, 1000, 1500, 2000}.issubset(ks)
-    assert all(k in ks for k in range(1971, 2001))
-    assert len(rec.tail(30)) == 30
+    assert {101, 150, 1899}.isdisjoint(ks)  # beyond cap, only strided + tail survive
+    assert set(range(200, 2001, 100)).issubset(ks)
+    assert all(k in ks for k in range(1941, 2001))
+    assert 1940 not in ks
+    assert len(rec.tail(60)) == 60
 
 
 def test_trajectory_json_roundtrip():

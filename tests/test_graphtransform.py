@@ -258,13 +258,13 @@ def test_graph_transform_contraction_random_pairs():
 
 def test_compose_linear_chain_is_zero():
     pair = split_diagonal_pair()
-    phi = compose_phi([pair] * 15, tol=1e-12)
+    phi = compose_phi([pair] * 15, tol=1e-12)[0]
     assert np.all(phi.values == 0.0)
 
 
 def test_compose_single_pair_equals_transform_of_zero():
     pair = perturbed_quadratic_pair()
-    a = compose_phi([pair], tol=1e-11)
+    a = compose_phi([pair], tol=1e-11)[0]
     b = graph_transform(pair, GraphFunction.zero(1, 1), tol=1e-11)
     np.testing.assert_array_equal(a.values, b.values)
 
@@ -273,8 +273,8 @@ def test_compose_horizon_cauchy_bound():
     # Lip(Gamma_k) <= 0.6 gives ||phi_{0,20} - phi_{0,10}|| <= 0.6^11
     pair = perturbed_quadratic_pair(eps=0.04)
     assert pair.gamma_lipschitz() <= 0.6
-    phi_10 = compose_phi([pair] * 11, tol=1e-12)
-    phi_20 = compose_phi([pair] * 21, tol=1e-12)
+    phi_10 = compose_phi([pair] * 11, tol=1e-12)[0]
+    phi_20 = compose_phi([pair] * 21, tol=1e-12)[0]
     diff = function_norm(phi_10.like(phi_20.values - phi_10.values))
     assert diff <= 0.6**11
     assert diff <= pair.gamma_lipschitz() ** 11 + 1e-9
@@ -298,7 +298,7 @@ def test_compose_rejects_mismatched_splittings():
 
 def test_compose_chain_consecutive_transforms():
     pair = perturbed_quadratic_pair()
-    chain = compose_phi([pair] * 5, tol=1e-11, return_chain=True)
+    chain = compose_phi([pair] * 5, tol=1e-11)
     assert len(chain) == 5
     re0 = graph_transform(pair, chain[1], tol=1e-11)
     np.testing.assert_allclose(chain[0].values, re0.values, atol=1e-10)

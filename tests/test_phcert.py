@@ -270,9 +270,8 @@ def test_admissible_polynomial_K_beyond_float_range_raises():
 def test_admissible_explicit_list_unsettled_raises():
     # multiplier for h=2 oscillates across |1 - alpha*2| = 1 forever
     vals = [1.2 if k % 2 else 0.3 for k in range(50)]
-    with pytest.raises(NotAdmissible) as exc:
+    with pytest.raises(NotAdmissible, match="eigenvalue index 0 still flipping"):
         check_admissible(np.array([2.0]), explicit_schedule(vals))
-    assert exc.value.index == 0
 
 
 # --- non-summability --------------------------------------------------------
@@ -609,3 +608,35 @@ def test_gd_certificate_spectral_bounds_random_hessians(seed):
         nz = np.linalg.norm(Z @ Tk.T, axis=1)
         assert np.all(ny <= lam * np.linalg.norm(Y, axis=1) + 1e-10)
         assert np.all(nz >= mu * np.linalg.norm(Z, axis=1) - 1e-10)
+
+
+
+# --- schedule properties ----------------------------------------------------
+
+
+@settings(max_examples=200, deadline=2000)
+@given(
+    st.sampled_from(["polynomial", "cosine"]),
+    st.floats(0.01, 1.0),
+    st.floats(1e-3, 10.0),
+    st.integers(0, 8),
+    st.floats(0.1, 30.0),
+)
+def test_schedule_K_and_sup_properties(family, gamma, alpha0, T, h_max):
+    if family == "polynomial":
+        sched = polynomial_schedule(alpha0, gamma)
+    else:
+        sched = cosine_schedule(alpha0, gamma, T)
+    # within the per-example deadline, a value or NotAdmissible, never
+    # another error
+    try:
+        K = check_admissible(np.array([h_max, -1.0]), sched).K
+    except NotAdmissible:
+        K = None
+    sup = schedule_sup(sched)
+    if K is not None and family == "polynomial":
+        # K is 1 + the last k with alpha_k > 2/h_max
+        if K >= 1:
+            assert step_size(sched, K - 1) > 2.0 / h_max
+        assert step_size(sched, K) <= 2.0 / h_max
+    assert all(sup >= step_size(sched, k) for k in range(4 * T + 3))

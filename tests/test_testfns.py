@@ -134,7 +134,7 @@ def test_double_well_box_local_lipschitz_bound():
     obj = entry.objective
     assert obj.lipschitz_L == 26.0
     rng = np.random.default_rng(3)
-    X = rng.uniform(-obj.box, obj.box, size=(2000, 2))
+    X = rng.uniform(-3.0, 3.0, size=(2000, 2))  # the box L = 26 is declared on
     norms = np.linalg.norm(obj.hess(X), ord=2, axis=(-2, -1))
     assert np.max(norms) <= obj.lipschitz_L
 
