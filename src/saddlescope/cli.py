@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -47,7 +48,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_CERT = 2
 EXIT_AVOID = 3
-PULLBACK_FD_STEP = 1e-5  # finite-difference step of pullback_hessian
 
 
 class ConfigError(Exception):
@@ -120,36 +120,76 @@ def _get_entry(key: str) -> testfns.CataloguedObjective:
         raise ConfigError(str(exc)) from exc
 
 
-def pullback_hessian(objective: SphereObjective, base: np.ndarray):
-    """FD Hessian of the tangent-chart pullback cost at a sphere point."""
-    from .optimizers import sphere_exp
+# Power-series coefficients in rho = theta^2, highest degree first, of
+# C = cos(theta), S = sin(theta)/theta, T = S'(theta)/theta and
+# U = T'(theta)/theta, one column each; 12 terms reach rounding for theta <= 1
+_EXP_SERIES = np.array(
+    [
+        [
+            (-1) ** n / math.factorial(2 * n),
+            (-1) ** n / math.factorial(2 * n + 1),
+            (-1) ** (n + 1) * 2 * (n + 1) / math.factorial(2 * n + 3),
+            (-1) ** n * 4 * (n + 1) * (n + 2) / math.factorial(2 * n + 5),
+        ]
+        for n in range(11, -1, -1)
+    ]
+)
 
+
+def _exp_coefficients(rho: np.ndarray) -> np.ndarray:
+    """C, S, T, U at points rho = theta^2 of shape (N,), as (N, 4).
+
+    The series serves theta <= 1, where the closed forms lose digits to
+    cancellation; the closed forms serve larger theta.
+    """
+    out = np.vander(rho, len(_EXP_SERIES)) @ _EXP_SERIES
+    far = rho > 1.0
+    if np.any(far):
+        t = np.sqrt(rho[far])
+        sin, cos = np.sin(t), np.cos(t)
+        out[far] = np.stack(
+            [cos, sin / t, (t * cos - sin) / t**3, (3.0 * (sin - t * cos) - t * t * sin) / t**5],
+            axis=-1,
+        )
+    return out
+
+
+def pullback_hessian(objective: SphereObjective, base: np.ndarray):
+    """Exact Hessian of the tangent-chart pullback v -> f(exp_b(Q v)).
+
+    With w = Q v, theta = |w|, S = sin(theta)/theta, T = S'(theta)/theta,
+    U = T'(theta)/theta, x = exp_b(w) = cos(theta) b + S w, g = grad f(x),
+    H = hess f(x) and Dx = S I - S b w^T + T w w^T, the Hessian is
+    Q^T [Dx^T H Dx - (g.b)(S I + T w w^T) + (g.w)(T I + U w w^T)
+    + T (w g^T + g w^T)] Q, evaluated in the d - 1 chart coordinates
+    (Q^T w = v, Q^T b = 0).  At v = 0 it is the Riemannian Hessian.
+    Takes one chart point (k,) or a batch (..., k).
+    """
+    base = np.asarray(base, dtype=float)
     Q = tangent_basis(base)
     k = base.size - 1
-    h = PULLBACK_FD_STEP
-
-    def f(V):
-        return objective.f(sphere_exp(base, np.asarray(V) @ Q.T))
+    eye = np.eye(k)
 
     def hess(V):
         V = np.asarray(V, dtype=float)
-        single = V.ndim == 1
-        Vb = np.atleast_2d(V)
-        out = np.empty((len(Vb), k, k))
-        for i in range(k):
-            for j in range(k):
-                ei = np.zeros(k)
-                ej = np.zeros(k)
-                ei[i] = h
-                ej[j] = h
-                out[:, i, j] = (
-                    f(Vb + ei + ej)
-                    - f(Vb + ei - ej)
-                    - f(Vb - ei + ej)
-                    + f(Vb - ei - ej)
-                ) / (4 * h * h)
-        out = 0.5 * (out + np.swapaxes(out, -1, -2))
-        return out[0] if single else out.reshape(V.shape[:-1] + (k, k))
+        Vb = V.reshape(-1, k)
+        C, S, T, U = _exp_coefficients(np.sum(Vb * Vb, axis=-1)).T
+        W = Vb @ Q.T
+        X = C[:, None] * base + S[:, None] * W
+        g = np.asarray(objective.ambient.grad(X), dtype=float)
+        H = np.asarray(objective.ambient.hess(X), dtype=float)
+        J = S[:, None, None] * Q + (T[:, None] * W - S[:, None] * base)[:, :, None] * Vb[:, None, :]
+        gb = g @ base
+        gw = np.sum(g * W, axis=-1)
+        gv = (T[:, None] * (g @ Q))[:, :, None] * Vb[:, None, :]
+        out = (
+            np.swapaxes(J, -1, -2) @ H @ J
+            + (gw * T - gb * S)[:, None, None] * eye
+            + (gw * U - gb * T)[:, None, None] * (Vb[:, :, None] * Vb[:, None, :])
+            + gv
+            + np.swapaxes(gv, -1, -2)
+        )
+        return out.reshape(V.shape[:-1] + (k, k))
 
     return hess
 
@@ -173,8 +213,9 @@ def saddle_certificates(entry, algorithm: str, schedule: Schedule, L=None, box=2
             if algorithm == "pp":
                 raise ConfigError("pp certificates need a Euclidean objective")
             base = point
-            # exact tangent Hessian for the splitting/constants; the
-            # radius is sampled from the chart-pullback Hessian modulus
+            # the Riemannian Hessian gives the splitting and constants; the
+            # radius is sampled from the modulus of the exact Hessian of
+            # the exponential-chart pullback, capped at |v| <= 1
             spectral = SpectralData.from_hessian(
                 entry.objective.riemannian_hessian(base)
             )

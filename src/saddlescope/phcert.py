@@ -508,6 +508,23 @@ def globalize(
 # --- local Lipschitz radius from the Hessian modulus ------------------------
 
 
+def _symmetric_norm(D: np.ndarray) -> np.ndarray:
+    """Spectral norms of symmetric matrices (..., k, k), without an SVD.
+
+    For k <= 2 the eigenvalues are m +- hypot((a - d)/2, b) with
+    m = (a + d)/2, so the norm is |m| + hypot((a - d)/2, b) (|a| for
+    k = 1); larger k takes max |eigvalsh|.
+    """
+    k = D.shape[-1]
+    if k == 1:
+        return np.abs(D[..., 0, 0])
+    if k == 2:
+        a, d = D[..., 0, 0], D[..., 1, 1]
+        b = 0.5 * (D[..., 0, 1] + D[..., 1, 0])
+        return np.abs(0.5 * (a + d)) + np.hypot(0.5 * (a - d), b)
+    return np.max(np.abs(np.linalg.eigvalsh(D)), axis=-1)
+
+
 def estimate_radius(
     hessian: Callable[[np.ndarray], np.ndarray],
     c: float,
@@ -518,12 +535,15 @@ def estimate_radius(
 
     The sampled sup uses deterministic quasi-random points per candidate
     radius; the search is a RADIUS_LEVELS-level bisection (the Hessian modulus of
-    continuity is nondecreasing in r).  Raises RadiusNotFound when even
-    the smallest bisection radius fails, which signals a discontinuous
-    or misconfigured Hessian.
+    continuity is nondecreasing in r).  The Hessians must be symmetric.
+    Raises InvalidParameter unless box is finite and positive, and
+    RadiusNotFound when even the smallest bisection radius fails, which
+    signals a discontinuous or misconfigured Hessian.
     """
     if c <= 0:
         raise InvalidParameter("c must be positive")
+    if not (math.isfinite(box) and box > 0):
+        raise InvalidParameter(f"box must be finite and positive, got {box}")
     H0 = np.asarray(hessian(np.zeros(dim)), dtype=float)
     euclid = lambda v: np.linalg.norm(v, axis=-1)
 
@@ -534,7 +554,7 @@ def estimate_radius(
     def omega(radius: float) -> float:
         pts = _to_ball(base, radius, euclid)
         H = np.asarray(hessian(pts), dtype=float)
-        return float(np.max(np.linalg.norm(H - H0, ord=2, axis=(-2, -1))))
+        return float(np.max(_symmetric_norm(H - H0)))
 
     if omega(box) <= c:
         return box

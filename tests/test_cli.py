@@ -7,8 +7,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from saddlescope.cli import main, parse_schedule, parse_vector, saddle_certificates, ConfigError
-from saddlescope.optimizers import Objective
+from saddlescope.cli import (
+    ConfigError,
+    main,
+    parse_schedule,
+    parse_vector,
+    pullback_hessian,
+    saddle_certificates,
+)
+from saddlescope.optimizers import Objective, sphere_exp, tangent_basis
 from saddlescope.testfns import get
 
 
@@ -80,6 +87,20 @@ def test_certify_double_well_gd_radius_within_analytic(capsys):
     assert code == 0
     for cert in json.loads(out)["certificates"]:
         assert cert["r"] <= math.sqrt(0.05 / 3.0) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("objective", ["double_well", "quad_saddle"])
+@pytest.mark.parametrize("box", ["0", "-1", "nan", "inf"])
+def test_certify_rejects_a_bad_box(objective, box, capsys):
+    code, out, err = run_cli(
+        ["certify", "--objective", objective, "--algo", "gd", "--schedule", "const:0.5",
+         f"--box={box}"],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
 
 
 def _shifted_double_well(shift):
@@ -226,6 +247,64 @@ def test_certify_rgd_rayleigh(capsys):
     certs = json.loads(out)["certificates"]
     assert len(certs) == 2  # +e2 and -e2
     assert all(c["c"] == pytest.approx(1.0, rel=1e-4) for c in certs)
+
+
+@pytest.mark.parametrize("spec", ["const:0.5", "poly:1:1.0", "cos:1:4:0.5"])
+def test_certify_rayleigh_radius_is_analytic(spec, capsys):
+    # on the chart about +-e2 the modulus ||H(v) - H(0)|| meets the budget
+    # c/20 = 0.05 at |v| = asin(sqrt(0.025)); the radius must not exceed it
+    code, out, _ = run_cli(
+        ["certify", "--objective", "rayleigh_sphere", "--algo", "rgd", "--schedule", spec],
+        capsys,
+    )
+    assert code == 0
+    analytic = math.asin(math.sqrt(0.025))
+    certs = json.loads(out)["certificates"]
+    assert len(certs) == 2
+    for cert in certs:
+        assert cert["r"] == pytest.approx(analytic, rel=1e-12)
+        assert cert["r"] <= analytic * (1.0 + 1e-12)
+
+
+def _central_hessian(f, v, h=1e-4):
+    k = v.size
+    E = h * np.eye(k)
+    return np.array(
+        [
+            [
+                (f(v + E[i] + E[j]) - f(v + E[i] - E[j]) - f(v - E[i] + E[j]) + f(v - E[i] - E[j]))
+                / (4.0 * h * h)
+                for j in range(k)
+            ]
+            for i in range(k)
+        ]
+    )
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_pullback_hessian_is_exact(sign):
+    objective = get("rayleigh_sphere").objective
+    base = np.array([0.0, sign, 0.0])
+    hess = pullback_hessian(objective, base)
+    np.testing.assert_allclose(
+        hess(np.zeros(2)), objective.riemannian_hessian(base), rtol=0, atol=1e-12
+    )
+    Q = tangent_basis(base)
+    f = lambda v: objective.f(sphere_exp(base, v @ Q.T))
+    rng = np.random.default_rng(7)
+    V = rng.uniform(-1.0, 1.0, size=(64, 2))
+    V = V[np.linalg.norm(V, axis=-1) <= 1.0]
+    H = hess(V)
+    assert H.shape == (len(V), 2, 2)
+    np.testing.assert_allclose(H, np.swapaxes(H, -1, -2), rtol=0, atol=1e-14)
+    for v, Hv in zip(V, H):
+        np.testing.assert_allclose(Hv, _central_hessian(f, v), rtol=0, atol=1e-6)
+        np.testing.assert_allclose(hess(v), Hv, rtol=0, atol=1e-15)
+    # past |v| = 1 the series gives way to the closed forms
+    far = rng.uniform(-2.0, 2.0, size=(8, 2))
+    far = far[np.linalg.norm(far, axis=-1) > 1.0]
+    for v, Hv in zip(far, hess(far)):
+        np.testing.assert_allclose(Hv, _central_hessian(f, v), rtol=0, atol=1e-6)
 
 
 # --- graphs ---------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from saddlescope.dynsys import Splitting, SystemMap
 from saddlescope.phcert import (
+    _symmetric_norm,
     BudgetViolated,
     CertificateFailure,
     InvalidParameter,
@@ -343,6 +344,43 @@ def test_estimate_radius_monotone_in_c():
     r_small = estimate_radius(hess, 0.01, 1)
     r_big = estimate_radius(hess, 0.09, 1)
     assert r_small < r_big
+
+
+@pytest.mark.parametrize("box", [0.0, -1.0, math.nan, math.inf])
+def test_estimate_radius_rejects_a_bad_box(box):
+    with pytest.raises(InvalidParameter):
+        estimate_radius(quad_hessian(2), 0.5, 2, box=box)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.sampled_from(["general", "diagonal", "zero"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_symmetric_norm_matches_the_svd_norm(k, kind, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((50, k, k)) * 10.0 ** rng.uniform(-6, 6, (50, 1, 1))
+    if kind == "general":
+        D = 0.5 * (A + np.swapaxes(A, -1, -2))
+    elif kind == "diagonal":
+        D = A * np.eye(k)
+    else:
+        D = np.zeros((50, k, k))
+    svd = np.linalg.norm(D, ord=2, axis=(-2, -1))
+    np.testing.assert_allclose(_symmetric_norm(D), svd, rtol=1e-13, atol=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_symmetric_norm_is_bitwise_on_diag_a_0(seed):
+    # double_well's H(x) - H(0) = diag(3 x_1^2, 0)
+    rng = np.random.default_rng(seed)
+    D = np.zeros((50, 2, 2))
+    D[:, 0, 0] = rng.standard_normal(50) * 10.0 ** rng.uniform(-8, 8, 50)
+    np.testing.assert_array_equal(
+        _symmetric_norm(D), np.linalg.norm(D, ord=2, axis=(-2, -1))
+    )
 
 
 # --- sampled Lipschitz constants --------------------------------------------
