@@ -3,7 +3,6 @@ dynamics, with certificates, graph transforms, and avoidance experiments."""
 
 from .dynsys import (
     NonAutonomousSystem,
-    OutsideChart,
     Splitting,
     SystemMap,
     TrajectoryRecord,
@@ -26,8 +25,8 @@ from .graphtransform import (
 from .optimizers import (
     InnerSolveFailed,
     Objective,
+    OutsideChart,
     SphereObjective,
-    ZeroDenominator,
     gd_system,
     lift_to_tangent,
     pp_system,

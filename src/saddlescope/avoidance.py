@@ -29,8 +29,8 @@ import numpy as np
 
 from .dynsys import ACTIVE, DIVERGED, TrajectoryRecord
 from .dynsys import evolve_batch as _evolve_batch
-from .optimizers import gd_system, pp_system, rgd_system, tangent_basis
-from .phcert import Schedule, check_admissible, constant_schedule, is_nonsummable
+from .optimizers import UNIT_TOL, gd_system, pp_system, rgd_system, tangent_basis
+from .phcert import Schedule, check_admissible, check_box, constant_schedule, is_nonsummable
 from .testfns import MIN, STRICT_SADDLE, CataloguedObjective, get
 
 SADDLE_GRAD_TOL = 1e-8
@@ -352,16 +352,22 @@ def _initial_points(
     return low + span * ((_philox_words(keys, d) >> np.uint64(11)) * 2.0**-53)
 
 
+def check_start(entry: CataloguedObjective, x, name: str) -> np.ndarray:
+    """x as a (d,) float array; raises ValueError on a wrong shape and, on
+    the sphere, on a norm more than UNIT_TOL from 1."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (entry.dim,):
+        raise ValueError(f"{name} has shape {x.shape}; {entry.key} needs dimension {entry.dim}")
+    if entry.is_sphere and not abs(np.linalg.norm(x) - 1.0) <= UNIT_TOL:
+        raise ValueError(f"{name} has norm {np.linalg.norm(x):g}; {entry.key} needs a unit vector")
+    return x
+
+
 def _probe_points(probes: Sequence, entry: CataloguedObjective) -> np.ndarray:
-    """Probe starts as a (len(probes), d) array; a wrong shape raises."""
+    """Probe starts as a (len(probes), d) array; a bad start raises."""
     P0 = np.empty((len(probes), entry.dim))
     for j, p in enumerate(probes):
-        p = np.asarray(p, dtype=float)
-        if p.shape != (entry.dim,):
-            raise ValueError(
-                f"probe {j} has shape {p.shape}; {entry.key} needs dimension {entry.dim}"
-            )
-        P0[j] = p
+        P0[j] = check_start(entry, p, f"probe {j}")
     return P0
 
 
@@ -387,6 +393,7 @@ def monte_carlo_avoidance(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    check_box(box)
     entry = get(objective_key)
     P0 = _probe_points(probes, entry)
     validate_cell(entry, algorithm, schedule)
@@ -512,6 +519,7 @@ def luzin_scan(
     ValueError for an objective the algorithm does not take, and
     StepTooLarge for a pp alpha not below 1/L.
     """
+    check_box(box)
     entry = get(objective_key)
     d = entry.dim
     flagged = []

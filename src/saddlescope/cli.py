@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from pathlib import Path
@@ -31,7 +30,7 @@ from .graphtransform import (
     verify_graph_invariance,
     verify_potential_growth,
 )
-from .optimizers import SphereObjective, tangent_basis
+from .optimizers import pullback_hessian
 from .phcert import (
     CertificateFailure,
     InvalidParameter,
@@ -120,80 +119,6 @@ def _get_entry(key: str) -> testfns.CataloguedObjective:
         raise ConfigError(str(exc)) from exc
 
 
-# Power-series coefficients in rho = theta^2, highest degree first, of
-# C = cos(theta), S = sin(theta)/theta, T = S'(theta)/theta and
-# U = T'(theta)/theta, one column each; 12 terms reach rounding for theta <= 1
-_EXP_SERIES = np.array(
-    [
-        [
-            (-1) ** n / math.factorial(2 * n),
-            (-1) ** n / math.factorial(2 * n + 1),
-            (-1) ** (n + 1) * 2 * (n + 1) / math.factorial(2 * n + 3),
-            (-1) ** n * 4 * (n + 1) * (n + 2) / math.factorial(2 * n + 5),
-        ]
-        for n in range(11, -1, -1)
-    ]
-)
-
-
-def _exp_coefficients(rho: np.ndarray) -> np.ndarray:
-    """C, S, T, U at points rho = theta^2 of shape (N,), as (N, 4).
-
-    The series serves theta <= 1, where the closed forms lose digits to
-    cancellation; the closed forms serve larger theta.
-    """
-    out = np.vander(rho, len(_EXP_SERIES)) @ _EXP_SERIES
-    far = rho > 1.0
-    if np.any(far):
-        t = np.sqrt(rho[far])
-        sin, cos = np.sin(t), np.cos(t)
-        out[far] = np.stack(
-            [cos, sin / t, (t * cos - sin) / t**3, (3.0 * (sin - t * cos) - t * t * sin) / t**5],
-            axis=-1,
-        )
-    return out
-
-
-def pullback_hessian(objective: SphereObjective, base: np.ndarray):
-    """Exact Hessian of the tangent-chart pullback v -> f(exp_b(Q v)).
-
-    With w = Q v, theta = |w|, S = sin(theta)/theta, T = S'(theta)/theta,
-    U = T'(theta)/theta, x = exp_b(w) = cos(theta) b + S w, g = grad f(x),
-    H = hess f(x) and Dx = S I - S b w^T + T w w^T, the Hessian is
-    Q^T [Dx^T H Dx - (g.b)(S I + T w w^T) + (g.w)(T I + U w w^T)
-    + T (w g^T + g w^T)] Q, evaluated in the d - 1 chart coordinates
-    (Q^T w = v, Q^T b = 0).  At v = 0 it is the Riemannian Hessian.
-    Takes one chart point (k,) or a batch (..., k).
-    """
-    base = np.asarray(base, dtype=float)
-    Q = tangent_basis(base)
-    k = base.size - 1
-    eye = np.eye(k)
-
-    def hess(V):
-        V = np.asarray(V, dtype=float)
-        Vb = V.reshape(-1, k)
-        C, S, T, U = _exp_coefficients(np.sum(Vb * Vb, axis=-1)).T
-        W = Vb @ Q.T
-        X = C[:, None] * base + S[:, None] * W
-        g = np.asarray(objective.ambient.grad(X), dtype=float)
-        H = np.asarray(objective.ambient.hess(X), dtype=float)
-        J = S[:, None, None] * Q + (T[:, None] * W - S[:, None] * base)[:, :, None] * Vb[:, None, :]
-        gb = g @ base
-        gw = np.sum(g * W, axis=-1)
-        gv = (T[:, None] * (g @ Q))[:, :, None] * Vb[:, None, :]
-        out = (
-            np.swapaxes(J, -1, -2) @ H @ J
-            + (gw * T - gb * S)[:, None, None] * eye
-            + (gw * U - gb * T)[:, None, None] * (Vb[:, :, None] * Vb[:, None, :])
-            + gv
-            + np.swapaxes(gv, -1, -2)
-        )
-        return out.reshape(V.shape[:-1] + (k, k))
-
-    return hess
-
-
 def saddle_certificates(entry, algorithm: str, schedule: Schedule, L=None, box=2.0):
     """Build one certificate per catalogued strict saddle.
 
@@ -201,6 +126,7 @@ def saddle_certificates(entry, algorithm: str, schedule: Schedule, L=None, box=2
     origin, so each saddle's Hessian is taken in coordinates centred at
     it (the sphere's tangent-chart pullback already is).
     """
+    phcert.check_box(box)  # before the sphere's cap can hide a bad box
     results = []
     saddles = [
         cp for cp in entry.critical_points if cp.classification == STRICT_SADDLE
@@ -296,21 +222,22 @@ def _preset_chain(name: str, horizon: int):
 
 
 def cmd_graphs(args) -> int:
-    chain_spec = _preset_chain(args.chain, args.horizon)
-    out = _outdir(args, "graphs")
     try:
-        chain = compose_phi(
-            chain_spec,
-            tol=args.tol,
-            radius=args.radius,
-            delta=args.delta,
-        )
+        return _graphs(args)
     except IncompatibleSplitting as exc:
         print(f"IncompatibleSplitting: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NoContraction as exc:
         print(f"NoContraction: {exc}", file=sys.stderr)
         return EXIT_CERT
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _graphs(args) -> int:
+    chain_spec = _preset_chain(args.chain, args.horizon)
+    out = _outdir(args, "graphs")
+    chain = compose_phi(chain_spec, tol=args.tol, radius=args.radius, delta=args.delta)
 
     if out:
         for j, phi in enumerate(chain):
@@ -407,12 +334,11 @@ def cmd_avoid(args) -> int:
 
 def cmd_luzin(args) -> int:
     _get_entry(args.objective)
-    grid = [float(tok) for tok in args.alpha_grid.split(",")]
     try:
         report = avoidance.luzin_scan(
             args.objective,
             args.algo,
-            grid,
+            [float(tok) for tok in args.alpha_grid.split(",")],
             x_samples=args.samples,
             seed=args.seed,
             box=args.box,
@@ -432,20 +358,14 @@ def cmd_luzin(args) -> int:
 def cmd_evolve(args) -> int:
     entry = _get_entry(args.objective)
     schedule = parse_schedule(args.schedule)
-    x0 = parse_vector(args.init)
-    if x0.size != entry.dim:
-        raise ConfigError(f"init has dim {x0.size}, objective needs {entry.dim}")
     try:
+        x0 = avoidance.check_start(entry, parse_vector(args.init), "init")
         system = avoidance.build_system(entry, args.algo, schedule)
+        record = run_trajectory(
+            system, x0, max_steps=args.steps, stop_tol=args.stop_tol, store_cap=args.steps
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    record = run_trajectory(
-        system,
-        x0,
-        max_steps=args.steps,
-        stop_tol=args.stop_tol,
-        store_cap=args.steps,
-    )
     lines = ["k," + ",".join(f"x_{j}" for j in range(entry.dim))]
     for k, x in zip(record.step_indices, record.iterates):
         lines.append(",".join([str(int(k))] + [f"{float(v):.17g}" for v in x]))

@@ -6,9 +6,10 @@ expected to be vectorized over leading axes, i.e. evaluate() accepts
 both a single point of shape (d,) and a batch of shape (N, d).
 
 One stepping engine, evolve_batch, iterates a batch of rows with
-per-row stop, divergence and chart rules.  run_trajectory is a one-row
-call into it that keeps a sampled history; the Monte Carlo cells call
-it with every trial and probe as a row and keep only the tails.
+per-row stop and divergence rules; an exception raised by a map ends
+the whole call.  run_trajectory is a one-row call into it that keeps a
+sampled history; the Monte Carlo cells call it with every trial and
+probe as a row and keep only the tails.
 """
 
 from __future__ import annotations
@@ -25,14 +26,6 @@ STORE_STRIDE = 100  # run_trajectory keeps every STORE_STRIDE-th iterate past st
 STOP_WINDOW = 10  # consecutive small steps that stop run_trajectory
 TAIL_LENGTH = 60  # trailing iterates a record keeps; at least STOP_WINDOW
 DIVERGENCE_RADIUS = 1e8  # a finite iterate beyond this norm has diverged
-
-
-class OutsideChart(RuntimeError):
-    """An iterate of a lifted (tangent-space) system left the chart domain.
-
-    Raised by tangent-space lifts of manifold systems; evolve_batch
-    catches it and ends that row, undecided, at its last state.
-    """
 
 
 @dataclass(frozen=True)
@@ -155,7 +148,7 @@ class TrajectoryRecord:
 
 # --- the stepping engine ----------------------------------------------------------
 
-ACTIVE, STOPPED, DIVERGED, LEFT_CHART = 0, 1, 2, 3  # row status codes
+ACTIVE, STOPPED, DIVERGED = 0, 1, 2  # row status codes
 
 
 def evolve_batch(
@@ -172,10 +165,11 @@ def evolve_batch(
 
     A row is STOPPED after `window` consecutive steps with
     ||x_{k+1} - x_k|| < stop_tol, DIVERGED on a non-finite coordinate or
-    a norm beyond DIVERGENCE_RADIUS, LEFT_CHART (at its last state) when
-    its map raises OutsideChart, and otherwise ACTIVE after max_steps
-    steps.  The gd, rgd and pp maps act row by row, so a row's iterates
-    are bitwise those of a one-row run, whatever else shares the batch.
+    a norm beyond DIVERGENCE_RADIUS, and otherwise ACTIVE after max_steps
+    steps; max_steps must be >= 1 and stop_tol positive.  An exception
+    raised by a map propagates.  The gd, rgd and pp maps act row by row,
+    so a row's iterates are bitwise those of a one-row run, whatever
+    else shares the batch.
 
     Returns (ring, steps, status, history): ring[k % tail_len, i] is x_k
     of row i over its last tail_len steps (read it with tail_of),
@@ -183,6 +177,10 @@ def evolve_batch(
     every k <= store_cap and every store_stride-th k beyond (stride 0:
     none).  ring and history may hold the non-finite state of a blow-up.
     """
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    if not stop_tol > 0:
+        raise ValueError("stop_tol must be positive")
     Xa = np.array(X0, dtype=float)
     N, d = Xa.shape
     steps = np.full(N, max_steps)
@@ -201,24 +199,7 @@ def evolve_batch(
     run = np.zeros(N, dtype=int)  # consecutive steps below stop_tol
     top = 0  # max(run)
     for k in range(max_steps):
-        gk = system.map_at(k)
-        try:
-            X1 = np.asarray(gk.evaluate(Xa), dtype=float)
-        except OutsideChart:
-            # the maps act row-wise, so evaluating singly isolates the
-            # offending rows and reproduces the batch values
-            X1 = np.empty_like(Xa)
-            out = np.zeros(len(Xa), dtype=bool)
-            for j, row in enumerate(Xa):
-                try:
-                    X1[j] = gk.evaluate(row)
-                except OutsideChart:
-                    out[j] = True
-            status[idx[out]] = LEFT_CHART
-            steps[idx[out]] = k
-            idx, rows, Xa, X1, run = idx[~out], idx[~out], Xa[~out], X1[~out], run[~out]
-            if not idx.size:
-                break
+        X1 = np.asarray(system.map_at(k).evaluate(Xa), dtype=float)
         k1 = k + 1
         ring[k1 % tail_len, rows] = X1
         if k1 <= store_cap or (store_stride and k1 % store_stride == 0):
@@ -271,11 +252,6 @@ def run_trajectory(
     STORE_STRIDE-th one beyond that, the trailing TAIL_LENGTH finite
     iterates and a finite blow-up.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    if stop_tol <= 0:
-        raise ValueError("stop_tol must be positive")
-
     x0 = np.asarray(x0, dtype=float)
     # a spare ring slot: a non-finite blow-up still leaves TAIL_LENGTH states
     ring, steps, status, history = evolve_batch(

@@ -60,6 +60,8 @@ class GraphFunction:
     ):
         if not (1 <= m <= MAX_FACTOR_DIM and 1 <= n <= MAX_FACTOR_DIM):
             raise ValueError(f"factor dims must be in [1, {MAX_FACTOR_DIM}]")
+        if not delta > 0:
+            raise ValueError("delta must be positive")
         steps = radius / delta
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("radius must be an integer multiple of delta")

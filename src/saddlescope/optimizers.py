@@ -1,6 +1,7 @@
 """Gradient descent, Riemannian GD on the sphere, and the proximal point
 method, packaged as non-autonomous dynamical systems driven by a step-size
-schedule.
+schedule; and the sphere's exponential chart: exp, log, the tangent
+lift and the pullback Hessian.
 
 All objective callables are vectorized over leading axes: f maps
 (..., d) -> (...), grad maps (..., d) -> (..., d), hess maps
@@ -15,12 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynsys import NonAutonomousSystem, OutsideChart, SystemMap
+from .dynsys import NonAutonomousSystem, SystemMap
 from .phcert import Schedule, StepTooLarge, schedule_sup, step_size
-
-
-class ZeroDenominator(RuntimeError):
-    """A retraction step hit the origin; the iterate is undefined."""
 
 
 class InnerSolveFailed(RuntimeError):
@@ -64,12 +61,10 @@ class SphereObjective:
         return g - s * x
 
     def retraction(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Metric projection R_x(v) = (x + v)/||x + v||."""
+        """Metric projection R_x(v) = (x + v)/||x + v||; for unit x and
+        tangent v the denominator is sqrt(1 + ||v||^2) >= 1."""
         w = np.asarray(x, dtype=float) + np.asarray(v, dtype=float)
-        nw = np.linalg.norm(w, axis=-1, keepdims=True)
-        if np.any(nw < 1e-12):
-            raise ZeroDenominator("retraction step reached the origin")
-        return w / nw
+        return w / np.linalg.norm(w, axis=-1, keepdims=True)
 
     def riemannian_hessian(self, x: np.ndarray) -> np.ndarray:
         """Tangent-coordinate Riemannian Hessian Q^T (H - (x.grad f) I) Q.
@@ -266,27 +261,15 @@ def prox_inverse(objective: Objective, alpha: float, x: np.ndarray) -> np.ndarra
     return x + alpha * np.asarray(objective.grad(x), dtype=float)
 
 
-# --- tangent-space lifts on the sphere ---------------------------------------
+# --- the sphere's exponential chart ------------------------------------------
 
 CHART_RADIUS = math.pi / 2  # half the sphere's injectivity radius
-FADE_RADIUS = 3 * math.pi / 4
 FIXED_POINT_TOL = 1e-10  # how far g_0(base) may lie from base in lift_to_tangent
+UNIT_TOL = 1e-10  # how far the norm of a point on the sphere may lie from 1
 
 
-def _smooth_step(u: np.ndarray) -> np.ndarray:
-    """C-infinity step: 0 for u <= 0, 1 for u >= 1, exp(-1/t) blend between."""
-    u = np.asarray(u, dtype=float)
-    lo = u <= 0.0
-    hi = u >= 1.0
-    mid = ~(lo | hi)
-    out = np.where(hi, 1.0, 0.0)
-    if np.any(mid):
-        um = u[mid]
-        a = np.exp(-1.0 / um)
-        b = np.exp(-1.0 / (1.0 - um))
-        out = out.astype(float)
-        out[mid] = a / (a + b)
-    return out
+class OutsideChart(RuntimeError):
+    """An iterate of a lifted (tangent-space) system left the chart domain."""
 
 
 def tangent_basis(base: np.ndarray) -> np.ndarray:
@@ -310,13 +293,10 @@ def sphere_exp(base: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def sphere_log(base: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Riemannian logarithm at base, smoothly faded to 0 past CHART_RADIUS.
+    """Riemannian logarithm at base, for p not antipodal to base.
 
-    Matches the true logarithm for geodesic distance <= pi/2 and drops
-    C-infinity smoothly to the zero vector by 3 pi/4, which extends it
-    smoothly to the whole sphere.  The angle comes from arctan2, which
-    stays fully accurate near the base point where arccos loses half its
-    digits.
+    The angle comes from arctan2, which stays fully accurate near the
+    base point where arccos loses half its digits.
     """
     p = np.asarray(p, dtype=float)
     c = np.clip(np.sum(p * base, axis=-1, keepdims=True), -1.0, 1.0)
@@ -324,8 +304,81 @@ def sphere_log(base: np.ndarray, p: np.ndarray) -> np.ndarray:
     nw = np.linalg.norm(w, axis=-1, keepdims=True)
     theta = np.arctan2(nw, c)
     scale = np.where(nw > 1e-300, theta / np.maximum(nw, 1e-300), 1.0)
-    beta = _smooth_step((FADE_RADIUS - theta[..., 0]) / (FADE_RADIUS - CHART_RADIUS))
-    return beta[..., None] * (scale * w)
+    return scale * w
+
+
+# Power-series coefficients in rho = theta^2, highest degree first, of
+# C = cos(theta), S = sin(theta)/theta, T = S'(theta)/theta and
+# U = T'(theta)/theta, one column each; 12 terms reach rounding for theta <= 1
+_EXP_SERIES = np.array(
+    [
+        [
+            (-1) ** n / math.factorial(2 * n),
+            (-1) ** n / math.factorial(2 * n + 1),
+            (-1) ** (n + 1) * 2 * (n + 1) / math.factorial(2 * n + 3),
+            (-1) ** n * 4 * (n + 1) * (n + 2) / math.factorial(2 * n + 5),
+        ]
+        for n in range(11, -1, -1)
+    ]
+)
+
+
+def _exp_coefficients(rho: np.ndarray) -> np.ndarray:
+    """C, S, T, U at points rho = theta^2 of shape (N,), as (N, 4).
+
+    The series serves theta <= 1, where the closed forms lose digits to
+    cancellation; the closed forms serve larger theta.
+    """
+    out = np.vander(rho, len(_EXP_SERIES)) @ _EXP_SERIES
+    far = rho > 1.0
+    if np.any(far):
+        t = np.sqrt(rho[far])
+        sin, cos = np.sin(t), np.cos(t)
+        out[far] = np.stack(
+            [cos, sin / t, (t * cos - sin) / t**3, (3.0 * (sin - t * cos) - t * t * sin) / t**5],
+            axis=-1,
+        )
+    return out
+
+
+def pullback_hessian(objective: SphereObjective, base: np.ndarray):
+    """Exact Hessian of the tangent-chart pullback v -> f(exp_b(Q v)).
+
+    With w = Q v, theta = |w|, S = sin(theta)/theta, T = S'(theta)/theta,
+    U = T'(theta)/theta, x = exp_b(w) = cos(theta) b + S w, g = grad f(x),
+    H = hess f(x) and Dx = S I - S b w^T + T w w^T, the Hessian is
+    Q^T [Dx^T H Dx - (g.b)(S I + T w w^T) + (g.w)(T I + U w w^T)
+    + T (w g^T + g w^T)] Q, evaluated in the d - 1 chart coordinates
+    (Q^T w = v, Q^T b = 0).  At v = 0 it is the Riemannian Hessian.
+    Takes one chart point (k,) or a batch (..., k).
+    """
+    base = np.asarray(base, dtype=float)
+    Q = tangent_basis(base)
+    k = base.size - 1
+    eye = np.eye(k)
+
+    def hess(V):
+        V = np.asarray(V, dtype=float)
+        Vb = V.reshape(-1, k)
+        C, S, T, U = _exp_coefficients(np.sum(Vb * Vb, axis=-1)).T
+        W = Vb @ Q.T
+        X = C[:, None] * base + S[:, None] * W
+        g = np.asarray(objective.ambient.grad(X), dtype=float)
+        H = np.asarray(objective.ambient.hess(X), dtype=float)
+        J = S[:, None, None] * Q + (T[:, None] * W - S[:, None] * base)[:, :, None] * Vb[:, None, :]
+        gb = g @ base
+        gw = np.sum(g * W, axis=-1)
+        gv = (T[:, None] * (g @ Q))[:, :, None] * Vb[:, None, :]
+        out = (
+            np.swapaxes(J, -1, -2) @ H @ J
+            + (gw * T - gb * S)[:, None, None] * eye
+            + (gw * U - gb * T)[:, None, None] * (Vb[:, :, None] * Vb[:, None, :])
+            + gv
+            + np.swapaxes(gv, -1, -2)
+        )
+        return out.reshape(V.shape[:-1] + (k, k))
+
+    return hess
 
 
 def lift_to_tangent(
@@ -337,12 +390,12 @@ def lift_to_tangent(
 
     Returns the system v -> log_base(g_k(exp_base(v))) expressed in a
     (d-1)-dimensional orthonormal tangent basis.  base must be fixed by
-    the system.  Iterates whose image leaves the chart (geodesic
-    distance beyond pi/2 from base) raise OutsideChart; run_trajectory
-    turns that into an undecided classification.
+    the system.  An input beyond CHART_RADIUS, or an image whose
+    geodesic distance from base exceeds it, raises OutsideChart, and the
+    exception ends any run of the lifted system.
     """
     base = np.asarray(base, dtype=float)
-    if abs(np.linalg.norm(base) - 1.0) > 1e-10:
+    if abs(np.linalg.norm(base) - 1.0) > UNIT_TOL:
         raise ValueError("base must be a unit vector")
     probe = np.asarray(system.map_at(0).evaluate(base))
     if np.linalg.norm(probe - base) > FIXED_POINT_TOL:

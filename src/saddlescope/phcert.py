@@ -525,6 +525,12 @@ def _symmetric_norm(D: np.ndarray) -> np.ndarray:
     return np.max(np.abs(np.linalg.eigvalsh(D)), axis=-1)
 
 
+def check_box(box: float) -> None:
+    """Raise InvalidParameter unless the sampling box is finite and positive."""
+    if not (math.isfinite(box) and box > 0):
+        raise InvalidParameter(f"box must be finite and positive, got {box}")
+
+
 def estimate_radius(
     hessian: Callable[[np.ndarray], np.ndarray],
     c: float,
@@ -542,8 +548,7 @@ def estimate_radius(
     """
     if c <= 0:
         raise InvalidParameter("c must be positive")
-    if not (math.isfinite(box) and box > 0):
-        raise InvalidParameter(f"box must be finite and positive, got {box}")
+    check_box(box)
     H0 = np.asarray(hessian(np.zeros(dim)), dtype=float)
     euclid = lambda v: np.linalg.norm(v, axis=-1)
 

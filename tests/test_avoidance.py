@@ -25,7 +25,6 @@ from saddlescope.avoidance import (
 from saddlescope.dynsys import (
     ACTIVE,
     DIVERGED,
-    LEFT_CHART,
     STOPPED,
     TrajectoryRecord,
     run_trajectory,
@@ -98,7 +97,6 @@ def _hand_built_batch():
         (300, ACTIVE, lambda k: [0.5, 0.5], "undecided"),  # far from the catalogue
         (80, DIVERGED, lambda k: [2e8 if k == 80 else 1.0, 0.0], "diverged"),
         (80, DIVERGED, lambda k: [np.nan if k == 80 else 5e7, 1.0], "diverged"),
-        (5, LEFT_CHART, lambda k: [0.3, 2.0], "undecided"),
     ]
     ring = np.full((L, len(rows), 2), np.nan)
     for i, (s, _, state, _) in enumerate(rows):

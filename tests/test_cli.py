@@ -89,11 +89,13 @@ def test_certify_double_well_gd_radius_within_analytic(capsys):
         assert cert["r"] <= math.sqrt(0.05 / 3.0) * (1.0 + 1e-12)
 
 
-@pytest.mark.parametrize("objective", ["double_well", "quad_saddle"])
+@pytest.mark.parametrize("objective", ["double_well", "quad_saddle", "rayleigh_sphere"])
 @pytest.mark.parametrize("box", ["0", "-1", "nan", "inf"])
 def test_certify_rejects_a_bad_box(objective, box, capsys):
+    # the sphere caps its box at 1, after the check
+    algo = "rgd" if objective == "rayleigh_sphere" else "gd"
     code, out, err = run_cli(
-        ["certify", "--objective", objective, "--algo", "gd", "--schedule", "const:0.5",
+        ["certify", "--objective", objective, "--algo", algo, "--schedule", "const:0.5",
          f"--box={box}"],
         capsys,
     )
@@ -570,6 +572,55 @@ def test_overflowing_polynomial_K_is_not_admissible(argv, capsys):
 
 
 # --- exit-code / strictness contract ---------------------------------------------
+
+_QS_GD = ["--objective", "quad_saddle", "--algo", "gd"]
+_AVOID = ["avoid", *_QS_GD, "--schedule", "const:0.5", "--trials", "2"]
+_EVOLVE = ["evolve", *_QS_GD, "--schedule", "const:0.5", "--init", "1,1"]
+_SPHERE = ["--objective", "rayleigh_sphere", "--algo", "rgd", "--schedule", "const:0.5"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["graphs", "--horizon", "0"], "need at least one pair"),
+        (["graphs", "--delta", "0"], "delta must be positive"),
+        (["graphs", "--radius", "0.3"], "radius must be an integer multiple of delta"),
+        (["graphs", "--samples", "0"], "zero-size array"),
+        (["luzin", *_QS_GD, "--alpha-grid", "x"], "could not convert string to float"),
+        (["luzin", *_QS_GD, "--alpha-grid", "0.5", "--box=inf"], "box must be finite and positive"),
+        ([*_EVOLVE, "--steps", "0"], "max_steps must be >= 1"),
+        ([*_EVOLVE, "--steps", "3", "--stop-tol", "0"], "stop_tol must be positive"),
+        ([*_AVOID, "--box=inf"], "box must be finite and positive"),
+        ([*_AVOID, "--max-steps=-5"], "max_steps must be >= 1"),
+        ([*_AVOID, "--max-steps", "0"], "max_steps must be >= 1"),
+    ],
+    ids=["graphs-horizon-0", "graphs-delta-0", "graphs-radius-0.3", "graphs-samples-0",
+         "luzin-grid-x", "luzin-box-inf", "evolve-steps-0", "evolve-stop-tol-0", "avoid-box-inf",
+         "avoid-max-steps--5", "avoid-max-steps-0"],
+)
+def test_bad_numeric_arguments_are_config_errors(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("config error: ") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", *_SPHERE, "--init", "0,0,0", "--steps", "3"],
+        ["evolve", *_SPHERE, "--init", "3,0,4", "--steps", "3"],
+        ["avoid", *_SPHERE, "--trials", "2", "--init-on", "0,0,0"],
+        ["avoid", *_SPHERE, "--trials", "2", "--init-on", "0,2,0"],
+    ],
+    ids=["evolve-origin", "evolve-norm5", "avoid-origin", "avoid-norm2"],
+)
+def test_sphere_starts_off_the_sphere_are_config_errors(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("config error: ") and err.rstrip().endswith("needs a unit vector")
 
 
 def test_unknown_flag_exits_one():
