@@ -2,11 +2,13 @@
 full-rank (Luzin N^-1) scan.
 
 Random initializations are evolved in one vectorized batch per cell
-(one call into dynsys.evolve_batch, the engine behind run_trajectory),
-with any stable-set probes stacked under the trials.  Every row is then
-classified against the objective catalogue at once, with array
-operations over the engine's tail ring (_classify_rows); classify_limit
-applies the same classifier to a single record.  Only the trial rows
+(one call into dynsys.evolve_batch, the engine behind run_trajectory,
+whose stop rule both share), with any stable-set probes stacked under
+the trials.  Every row is then classified against the objective
+catalogue at once, with array operations over the engine's tail ring
+(_classify_rows); classify_limit applies the same classifier to a
+single record, so a probe row and run_trajectory from the same start
+get the same verdict, step count and limit.  Only the trial rows
 are counted.  Rows are independent (the per-trial random substreams
 derive from one seed, and the gd, rgd and pp maps act row-wise), so
 neither batching nor probes change a trial's result.  Convergence to a
@@ -27,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynsys import ACTIVE, DIVERGED, TrajectoryRecord
+from .dynsys import ACTIVE, DIVERGED, STOP_TOL, TrajectoryRecord
 from .dynsys import evolve_batch as _evolve_batch
 from .optimizers import UNIT_TOL, gd_system, pp_system, rgd_system, tangent_basis
 from .phcert import Schedule, check_admissible, check_box, constant_schedule, is_nonsummable
@@ -35,9 +37,7 @@ from .testfns import MIN, STRICT_SADDLE, CataloguedObjective, get
 
 SADDLE_GRAD_TOL = 1e-8
 SADDLE_DIST_TOL = 1e-3
-SADDLE_WINDOW = 50
-STOP_WINDOW = 60  # > SADDLE_WINDOW: the confinement check postdates the stop transient
-STOP_TOL = 1e-12  # per-step displacement below which a trial counts as stopped
+SADDLE_WINDOW = 50  # < dynsys.STOP_WINDOW: the confinement check postdates the stop transient
 LIMIT_GRAD_TOL = 1e-4  # gradient gate for matching a limit to the catalogue
 DEFAULT_BOX = 2.0
 DET_THRESHOLD = 1e-12
@@ -52,20 +52,21 @@ def default_max_steps(schedule: Schedule) -> int:
     return 100_000
 
 
+def check_algorithm(entry: CataloguedObjective, algorithm: str) -> None:
+    """Raise ValueError unless the algorithm runs on the objective: rgd on
+    a sphere objective, gd and pp on a Euclidean one."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    on_sphere = algorithm == "rgd"
+    if on_sphere != entry.is_sphere:
+        raise ValueError(f"{algorithm} needs a {'sphere' if on_sphere else 'Euclidean'} objective")
+
+
 def build_system(entry: CataloguedObjective, algorithm: str, schedule: Schedule):
-    if algorithm == "gd":
-        if entry.is_sphere:
-            raise ValueError("gd needs a Euclidean objective")
-        return gd_system(entry.objective, schedule)
-    if algorithm == "rgd":
-        if not entry.is_sphere:
-            raise ValueError("rgd needs a sphere objective")
-        return rgd_system(entry.objective, schedule)
-    if algorithm == "pp":
-        if entry.is_sphere:
-            raise ValueError("pp needs a Euclidean objective")
-        return pp_system(entry.objective, schedule)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    check_algorithm(entry, algorithm)
+    # looked up at call time, so a rebinding of these names takes effect
+    factory = {"gd": gd_system, "rgd": rgd_system, "pp": pp_system}[algorithm]
+    return factory(entry.objective, schedule)
 
 
 def validate_cell(entry: CataloguedObjective, algorithm: str, schedule: Schedule):
@@ -404,9 +405,7 @@ def monte_carlo_avoidance(
         max_steps = min(max_steps, len(schedule.values))
 
     X0 = np.vstack([_initial_points(entry, trials, seed, box), P0])
-    ring, steps, status, _ = _evolve_batch(
-        system, X0, max_steps, STOP_TOL, window=STOP_WINDOW, tail_len=STOP_WINDOW
-    )
+    ring, steps, status, _ = _evolve_batch(system, X0, max_steps, STOP_TOL)
 
     codes, final, gnorm = _classify_rows(entry, X0, ring, steps, status)
     counts = dict(zip(VERDICTS, np.bincount(codes[:trials], minlength=len(VERDICTS)).tolist()))
@@ -519,6 +518,8 @@ def luzin_scan(
     ValueError for an objective the algorithm does not take, and
     StepTooLarge for a pp alpha not below 1/L.
     """
+    if x_samples < 1:
+        raise ValueError("x_samples must be >= 1")
     check_box(box)
     entry = get(objective_key)
     d = entry.dim

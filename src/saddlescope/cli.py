@@ -4,8 +4,10 @@ Subcommands: certify (NPH certificates), graphs (graph-transform chains
 and lemma verification), avoid (Monte Carlo saddle avoidance), luzin
 (Jacobian rank scans), evolve (single trajectories as CSV).  Exit codes:
 0 success, 1 configuration error, 2 certificate/verifier failure,
-3 avoidance violation.  Outputs land under --output DIR in certs/,
-graphs/, avoid/, luzin/, evolve/.  Every subcommand runs in one process.
+3 avoidance violation.  Subcommands raise, and main alone maps what
+they raise to an exit code and a one-line message.  Outputs land under
+--output DIR in certs/, graphs/, avoid/, luzin/, evolve/.  Every
+subcommand runs in one process.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import avoidance, graphtransform, phcert, synthetic, testfns
-from .dynsys import Splitting, SystemMap, run_trajectory
+from .dynsys import STOP_TOL, Splitting, SystemMap, run_trajectory
 from .graphtransform import (
     GraphFunction,
     IncompatibleSplitting,
@@ -33,7 +35,6 @@ from .graphtransform import (
 from .optimizers import pullback_hessian
 from .phcert import (
     CertificateFailure,
-    InvalidParameter,
     NotAdmissible,
     RadiusNotFound,
     Schedule,
@@ -86,7 +87,7 @@ def parse_schedule(spec: str) -> Schedule:
                 for tok in Path(parts[1][1:]).read_text().split()
             ]
             return phcert.explicit_schedule(values)
-    except (ValueError, OSError, InvalidParameter) as exc:
+    except (ValueError, OSError) as exc:
         raise ConfigError(f"bad schedule {spec!r}: {exc}") from exc
     raise ConfigError(f"bad schedule syntax {spec!r}")
 
@@ -126,6 +127,7 @@ def saddle_certificates(entry, algorithm: str, schedule: Schedule, L=None, box=2
     origin, so each saddle's Hessian is taken in coordinates centred at
     it (the sphere's tangent-chart pullback already is).
     """
+    avoidance.check_algorithm(entry, algorithm)
     phcert.check_box(box)  # before the sphere's cap can hide a bad box
     results = []
     saddles = [
@@ -136,8 +138,6 @@ def saddle_certificates(entry, algorithm: str, schedule: Schedule, L=None, box=2
     for cp in saddles:
         point = cp.sample(np.array(0.0)) if hasattr(cp, "sample") else cp.point
         if entry.is_sphere:
-            if algorithm == "pp":
-                raise ConfigError("pp certificates need a Euclidean objective")
             base = point
             # the Riemannian Hessian gives the splitting and constants; the
             # radius is sampled from the modulus of the exact Hessian of
@@ -153,15 +153,13 @@ def saddle_certificates(entry, algorithm: str, schedule: Schedule, L=None, box=2
             hess = lambda X: entry.objective.hess(X + point)
             if algorithm == "gd":
                 cert = build_gd_certificate(spectral, schedule, hess, box=box)
-            elif algorithm == "pp":
+            else:
                 Lval = L if L is not None else entry.objective.lipschitz_L
                 if Lval is None:
                     raise ConfigError("pp certification needs --L")
                 cert = build_pp_certificate(
                     spectral, schedule, Lval, hessian=hess, box=box
                 )
-            else:
-                raise ConfigError("Euclidean objectives take --algo gd or pp")
         results.append((point, cert))
     return results
 
@@ -172,13 +170,7 @@ def saddle_certificates(entry, algorithm: str, schedule: Schedule, L=None, box=2
 def cmd_certify(args) -> int:
     entry = _get_entry(args.objective)
     schedule = parse_schedule(args.schedule)
-    try:
-        certs = saddle_certificates(
-            entry, args.algo, schedule, L=args.L, box=args.box
-        )
-    except (CertificateFailure, NotAdmissible, RadiusNotFound) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CERT
+    certs = saddle_certificates(entry, args.algo, schedule, L=args.L, box=args.box)
     payload = {
         "objective": entry.key,
         "algorithm": args.algo,
@@ -222,19 +214,6 @@ def _preset_chain(name: str, horizon: int):
 
 
 def cmd_graphs(args) -> int:
-    try:
-        return _graphs(args)
-    except IncompatibleSplitting as exc:
-        print(f"IncompatibleSplitting: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NoContraction as exc:
-        print(f"NoContraction: {exc}", file=sys.stderr)
-        return EXIT_CERT
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _graphs(args) -> int:
     chain_spec = _preset_chain(args.chain, args.horizon)
     out = _outdir(args, "graphs")
     chain = compose_phi(chain_spec, tol=args.tol, radius=args.radius, delta=args.delta)
@@ -301,22 +280,16 @@ def cmd_avoid(args) -> int:
     entry = _get_entry(args.objective)
     schedule = parse_schedule(args.schedule)
     probes = [parse_vector(p) for p in args.init_on or []]
-    try:
-        report = avoidance.monte_carlo_avoidance(
-            args.objective,
-            args.algo,
-            schedule,
-            trials=args.trials,
-            seed=args.seed,
-            box=args.box,
-            max_steps=args.max_steps,
-            probes=probes,
-        )
-    except (CertificateFailure, NotAdmissible) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_CERT
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = avoidance.monte_carlo_avoidance(
+        args.objective,
+        args.algo,
+        schedule,
+        trials=args.trials,
+        seed=args.seed,
+        box=args.box,
+        max_steps=args.max_steps,
+        probes=probes,
+    )
     out = _outdir(args, "avoid")
     stem = f"{entry.key}_{args.algo}_{schedule.family}"
     _emit(report.to_json(), out / f"{stem}.json" if out else None)
@@ -334,20 +307,14 @@ def cmd_avoid(args) -> int:
 
 def cmd_luzin(args) -> int:
     _get_entry(args.objective)
-    try:
-        report = avoidance.luzin_scan(
-            args.objective,
-            args.algo,
-            [float(tok) for tok in args.alpha_grid.split(",")],
-            x_samples=args.samples,
-            seed=args.seed,
-            box=args.box,
-        )
-    except phcert.StepTooLarge as exc:
-        print(f"StepTooLarge: {exc}", file=sys.stderr)
-        return EXIT_CERT
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = avoidance.luzin_scan(
+        args.objective,
+        args.algo,
+        [float(tok) for tok in args.alpha_grid.split(",")],
+        x_samples=args.samples,
+        seed=args.seed,
+        box=args.box,
+    )
     out = _outdir(args, "luzin")
     _emit(
         report.to_json(), out / f"{args.objective}_{args.algo}.json" if out else None
@@ -358,14 +325,11 @@ def cmd_luzin(args) -> int:
 def cmd_evolve(args) -> int:
     entry = _get_entry(args.objective)
     schedule = parse_schedule(args.schedule)
-    try:
-        x0 = avoidance.check_start(entry, parse_vector(args.init), "init")
-        system = avoidance.build_system(entry, args.algo, schedule)
-        record = run_trajectory(
-            system, x0, max_steps=args.steps, stop_tol=args.stop_tol, store_cap=args.steps
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    x0 = avoidance.check_start(entry, parse_vector(args.init), "init")
+    system = avoidance.build_system(entry, args.algo, schedule)
+    record = run_trajectory(
+        system, x0, max_steps=args.steps, stop_tol=STOP_TOL, store_cap=args.steps
+    )
     lines = ["k," + ",".join(f"x_{j}" for j in range(entry.dim))]
     for k, x in zip(record.step_indices, record.iterates):
         lines.append(",".join([str(int(k))] + [f"{float(v):.17g}" for v in x]))
@@ -391,7 +355,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("certify", parents=[], help="build NPH certificates")
     p.add_argument("--objective", required=True)
-    p.add_argument("--algo", required=True, choices=("gd", "rgd", "pp"))
+    p.add_argument("--algo", required=True, choices=avoidance.ALGORITHMS)
     p.add_argument("--schedule", required=True)
     p.add_argument("--L", type=float, default=None)
     p.add_argument("--box", type=float, default=2.0)
@@ -443,7 +407,6 @@ def build_parser() -> _Parser:
     p.add_argument("--schedule", required=True)
     p.add_argument("--init", required=True, help="initial point 'x,y,...'")
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--stop-tol", type=float, default=1e-12)
     common(p)
     p.set_defaults(func=cmd_evolve)
 
@@ -455,9 +418,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InvalidParameter) as exc:
+    except IncompatibleSplitting as exc:  # a ValueError, named for the chain it rejects
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (CertificateFailure, NotAdmissible, NoContraction, RadiusNotFound) as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CERT
 
 
 if __name__ == "__main__":

@@ -7,9 +7,11 @@ both a single point of shape (d,) and a batch of shape (N, d).
 
 One stepping engine, evolve_batch, iterates a batch of rows with
 per-row stop and divergence rules; an exception raised by a map ends
-the whole call.  run_trajectory is a one-row call into it that keeps a
-sampled history; the Monte Carlo cells call it with every trial and
-probe as a row and keep only the tails.
+the whole call.  The stop rule (STOP_WINDOW steps below STOP_TOL) and
+the tail ring (the last STOP_WINDOW states) are the engine's own, so
+run_trajectory, a one-row call that also keeps a sampled history, and
+the Monte Carlo cells, which run every trial and probe as a row, stop
+and keep tails alike.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 
 DEFAULT_STORE_CAP = 10_000
 STORE_STRIDE = 100  # run_trajectory keeps every STORE_STRIDE-th iterate past store_cap
-STOP_WINDOW = 10  # consecutive small steps that stop run_trajectory
-TAIL_LENGTH = 60  # trailing iterates a record keeps; at least STOP_WINDOW
+STOP_WINDOW = 60  # consecutive small steps that stop a row; also the tail ring's length
+STOP_TOL = 1e-12  # per-step displacement below which a step counts as small
 DIVERGENCE_RADIUS = 1e8  # a finite iterate beyond this norm has diverged
 
 
@@ -156,14 +158,12 @@ def evolve_batch(
     X0: np.ndarray,
     max_steps: int,
     stop_tol: float,
-    window: int,
-    tail_len: int,
     store_cap: int = 0,
     store_stride: int = 0,
 ):
     """Iterate every row of X0 under the system, each with its own stops.
 
-    A row is STOPPED after `window` consecutive steps with
+    A row is STOPPED after STOP_WINDOW consecutive steps with
     ||x_{k+1} - x_k|| < stop_tol, DIVERGED on a non-finite coordinate or
     a norm beyond DIVERGENCE_RADIUS, and otherwise ACTIVE after max_steps
     steps; max_steps must be >= 1 and stop_tol positive.  An exception
@@ -171,8 +171,8 @@ def evolve_batch(
     so a row's iterates are bitwise those of a one-row run, whatever
     else shares the batch.
 
-    Returns (ring, steps, status, history): ring[k % tail_len, i] is x_k
-    of row i over its last tail_len steps (read it with tail_of),
+    Returns (ring, steps, status, history): ring[k % STOP_WINDOW, i] is
+    x_k of row i over its last STOP_WINDOW steps (read it with tail_of),
     steps[i] counts the maps applied to row i, and history holds x_k for
     every k <= store_cap and every store_stride-th k beyond (stride 0:
     none).  ring and history may hold the non-finite state of a blow-up.
@@ -185,7 +185,7 @@ def evolve_batch(
     N, d = Xa.shape
     steps = np.full(N, max_steps)
     status = np.full(N, ACTIVE)
-    ring = np.full((tail_len, N, d), np.nan)
+    ring = np.full((STOP_WINDOW, N, d), np.nan)
     ring[0] = Xa
     n_hist = min(max_steps, store_cap) + 1
     if store_stride and max_steps > store_cap:
@@ -201,7 +201,7 @@ def evolve_batch(
     for k in range(max_steps):
         X1 = np.asarray(system.map_at(k).evaluate(Xa), dtype=float)
         k1 = k + 1
-        ring[k1 % tail_len, rows] = X1
+        ring[k1 % STOP_WINDOW, rows] = X1
         if k1 <= store_cap or (store_stride and k1 % store_stride == 0):
             h += 1
             history[h, rows] = X1
@@ -212,8 +212,8 @@ def evolve_batch(
             top = np.maximum.reduce(run)
         sq = np.add.reduce(X1 * X1, axis=1)
         # max(norm) <= R, as sqrt is monotone; a NaN norm fails it
-        if not math.sqrt(np.maximum.reduce(sq)) <= DIVERGENCE_RADIUS or top >= window:
-            stop = run >= window
+        if not math.sqrt(np.maximum.reduce(sq)) <= DIVERGENCE_RADIUS or top >= STOP_WINDOW:
+            stop = run >= STOP_WINDOW
             bad = ~(np.sqrt(sq) <= DIVERGENCE_RADIUS)
             status[idx[stop]] = STOPPED
             status[idx[bad]] = DIVERGED  # a blow-up wins over a stop
@@ -245,23 +245,19 @@ def run_trajectory(
 ) -> TrajectoryRecord:
     """Iterate the system from x0 and record the trajectory.
 
-    A one-row evolve_batch that stops after STOP_WINDOW small steps, with
-    its divergence rules; a diverged trajectory is classified "diverged",
-    any other "undecided" (classify_limit resolves it against a
-    catalogue).  Storage keeps every iterate up to store_cap steps, every
-    STORE_STRIDE-th one beyond that, the trailing TAIL_LENGTH finite
-    iterates and a finite blow-up.
+    A one-row evolve_batch, so it stops and diverges as a Monte Carlo row
+    from x0 does; a diverged trajectory is classified "diverged", any
+    other "undecided" (classify_limit resolves it against a catalogue).
+    Storage keeps every iterate up to store_cap steps, every
+    STORE_STRIDE-th one beyond that, and the finite states of the tail
+    ring (the last STOP_WINDOW, or one fewer after a non-finite blow-up).
     """
     x0 = np.asarray(x0, dtype=float)
-    # a spare ring slot: a non-finite blow-up still leaves TAIL_LENGTH states
     ring, steps, status, history = evolve_batch(
-        system, x0.reshape(1, -1), max_steps, stop_tol, STOP_WINDOW, TAIL_LENGTH + 1,
-        store_cap, STORE_STRIDE,
+        system, x0.reshape(1, -1), max_steps, stop_tol, store_cap, STORE_STRIDE
     )
     diverged = status[0] == DIVERGED
     tail_ks, tail_X = tail_of(ring, steps, 0)
-    if not diverged:
-        tail_ks, tail_X = tail_ks[-TAIL_LENGTH:], tail_X[-TAIL_LENGTH:]
     ks = np.arange(steps[0] + 1)
     ks = ks[(ks <= store_cap) | (ks % STORE_STRIDE == 0)]
     X = history[: len(ks), 0]

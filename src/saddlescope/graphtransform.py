@@ -410,6 +410,8 @@ def verify_potential_growth(
     the lattice (interpolation between nodes plus the nodal solve
     tolerance); violations beyond it are reported, not raised.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     gphi = graph_transform(pair, phi, tol)
     rng = np.random.default_rng(seed)
     Y = rng.uniform(-phi.radius, phi.radius, size=(samples, phi.m))
@@ -455,6 +457,8 @@ def verify_graph_invariance(
     most max(100 tol, 1e-8)).  Returns the sup over sampled y of
     ||p_u(g(y, phi_k(y))) - phi_{k+1}(p_cs(g(y, phi_k(y))))||.
     """
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     nodes = phi_k.node_coords()
     pick = rng.choice(len(nodes), size=min(CONSISTENCY_NODES, len(nodes)), replace=False)

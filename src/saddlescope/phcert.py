@@ -122,7 +122,8 @@ def cosine_schedule(alpha0: float, gamma: float, T: int) -> Schedule:
 
 
 def explicit_schedule(values: Sequence[float]) -> Schedule:
-    return Schedule("explicit_list", float(values[0]), values=tuple(values))
+    # __post_init__ checks the values and sets alpha0 to the first one
+    return Schedule("explicit_list", math.nan, values=tuple(values))
 
 
 def _check_gamma_range(schedule: Schedule) -> None:
@@ -702,8 +703,10 @@ def build_pp_certificate(
     sup alpha_k < 1/L and non-summable steps.  The radius is sampled
     from the Hessian modulus when one is supplied; with hessian=None the
     remainder is assumed exactly linear (quadratic objective) and r is
-    unbounded.
+    unbounded.  L must be finite and positive (InvalidParameter).
     """
+    if not (math.isfinite(L) and L > 0):
+        raise InvalidParameter(f"L must be finite and positive, got {L}")
     h = spectral.eigenvalues
     if np.max(np.abs(h)) > L + 1e-12:
         raise CertificateFailure(

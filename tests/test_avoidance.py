@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from saddlescope import avoidance, dynsys
+from saddlescope import avoidance
 from saddlescope.avoidance import (
     VERDICTS,
     AvoidanceReport,
@@ -25,6 +25,7 @@ from saddlescope.avoidance import (
 from saddlescope.dynsys import (
     ACTIVE,
     DIVERGED,
+    STOP_TOL,
     STOPPED,
     TrajectoryRecord,
     run_trajectory,
@@ -161,7 +162,7 @@ def test_classify_rows_matches_the_row_loop(key, algo, probes, max_steps):
     entry = get(key)
     X0 = np.vstack([avoidance._initial_points(entry, 200, 4, 2.0), probes])
     system = build_system(entry, algo, constant_schedule(0.5))
-    ring, steps, status, _ = _evolve_batch(system, X0, max_steps, 1e-12, window=60, tail_len=60)
+    ring, steps, status, _ = _evolve_batch(system, X0, max_steps, 1e-12)
     codes, _, _ = _classify_rows(entry, X0, ring, steps, status)
     expected = [_classify_one(entry, ring, steps, status, i) for i in range(len(X0))]
     assert [VERDICTS[c] for c in codes] == expected
@@ -206,9 +207,7 @@ def test_batch_matches_run_trajectory_bitwise():
     system = gd_system(entry.objective, sched)
     rng = np.random.default_rng(5)
     X0 = rng.uniform(-2, 2, size=(7, 2))
-    ring, steps, status, _ = _evolve_batch(
-        system, X0, max_steps=300, stop_tol=1e-9, window=dynsys.STOP_WINDOW, tail_len=20
-    )
+    ring, steps, status, _ = _evolve_batch(system, X0, max_steps=300, stop_tol=1e-9)
     for i in range(7):
         rec = run_trajectory(system, X0[i], max_steps=300, stop_tol=1e-9)
         assert rec.steps_taken == int(steps[i])
@@ -228,14 +227,43 @@ def test_batch_matches_run_trajectory_bitwise_per_algorithm(key, algo, alpha0):
     X0 = rng.uniform(-2, 2, size=(7, entry.dim))
     if entry.is_sphere:
         X0 /= np.linalg.norm(X0, axis=1, keepdims=True)
-    ring, steps, status, _ = _evolve_batch(
-        system, X0, max_steps=300, stop_tol=1e-9, window=dynsys.STOP_WINDOW, tail_len=20
-    )
+    ring, steps, status, _ = _evolve_batch(system, X0, max_steps=300, stop_tol=1e-9)
     for i in range(7):
         rec = run_trajectory(system, X0[i], max_steps=300, stop_tol=1e-9)
         assert rec.steps_taken == int(steps[i])
         _, tail = tail_of(ring, steps, i)
         np.testing.assert_array_equal(tail, rec.tail(len(tail)))
+
+
+@pytest.mark.parametrize(
+    "key, algo, alpha, x0",
+    [
+        ("double_well", "gd", 0.5, [0.0, 0.5]),
+        ("double_well", "pp", 0.5 / 26, [0.0, 0.5]),
+        ("quad_saddle", "gd", 0.5, [0.5, 0.0]),
+        ("quad_saddle", "pp", 0.5, [0.5, 0.0]),
+        ("saddle_line", "gd", 0.5, [1.0, 0.0, 3.0]),
+        ("saddle_line", "pp", 0.5, [1.0, 0.0, 3.0]),
+        ("rayleigh_sphere", "rgd", 0.5, [0.0, 0.6, 0.8]),
+        ("quad_1d", "gd", 0.5, [1.5]),
+        ("double_well", "gd", 0.5, [0.3, -1.1]),
+    ],
+    ids=["dw-gd-probe", "dw-pp-probe", "qs-gd-probe", "qs-pp-probe", "sl-gd-probe",
+         "sl-pp-probe", "sphere-rgd", "q1d-gd", "dw-gd-generic"],
+)
+def test_run_trajectory_agrees_with_the_probe_row(key, algo, alpha, x0):
+    # one stop rule: a trajectory and a Monte Carlo probe row from the same
+    # start share their verdict, step count and limit
+    entry = get(key)
+    schedule = constant_schedule(alpha)
+    rec = run_trajectory(build_system(entry, algo, schedule), np.array(x0), 20_000, STOP_TOL)
+    report = monte_carlo_avoidance(
+        key, algo, schedule, trials=1, seed=0, max_steps=20_000, probes=[x0]
+    )
+    [probe] = report.stable_set_probe
+    assert classify_limit(rec, entry) == probe["classification"]
+    assert rec.steps_taken == probe["steps"]
+    assert rec.limit_estimate.tolist() == probe["limit"]
 
 
 def test_batch_tail_ends_at_last_finite_state():
@@ -247,7 +275,7 @@ def test_batch_tail_ends_at_last_finite_state():
         lambda k: SystemMap(lambda x: np.where(np.abs(x) > 1e6, np.nan, 1.01 * x)), 1
     )
     ring, steps, status, _ = _evolve_batch(
-        system, np.array([[1.0]]), max_steps=5000, stop_tol=1e-300, window=10, tail_len=60
+        system, np.array([[1.0]]), max_steps=5000, stop_tol=1e-300
     )
     assert status[0] == DIVERGED
     assert int(steps[0]) > 20 * 60

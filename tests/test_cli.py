@@ -463,12 +463,32 @@ def test_luzin_1d(capsys):
     [("rayleigh_sphere", "pp"), ("rayleigh_sphere", "gd"), ("double_well", "rgd")],
 )
 def test_luzin_mismatched_objective_exits_one(objective, algo, capsys):
-    code, out, err = run_cli(
+    _assert_mismatch_is_config_error(
         ["luzin", "--objective", objective, "--algo", algo, "--alpha-grid", "0.1"], capsys
     )
+
+
+@pytest.mark.parametrize(
+    "objective,algo,start",
+    [("rayleigh_sphere", "pp", "0,0.6,0.8"), ("rayleigh_sphere", "gd", "0,0.6,0.8"),
+     ("double_well", "rgd", "0,0.5")],
+)
+@pytest.mark.parametrize("command", ["certify", "avoid", "evolve"])
+def test_mismatched_objective_exits_one(command, objective, algo, start, capsys):
+    # one objective/algorithm rule for every subcommand
+    extra = {"certify": [], "avoid": ["--trials", "2"], "evolve": ["--init", start, "--steps", "3"]}
+    _assert_mismatch_is_config_error(
+        [command, "--objective", objective, "--algo", algo, "--schedule", "const:0.5",
+         *extra[command]],
+        capsys,
+    )
+
+
+def _assert_mismatch_is_config_error(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert out == ""
-    assert err.startswith("config error: ")
+    assert err.startswith("config error: ") and "objective" in err
     assert "Traceback" not in err
 
 
@@ -529,7 +549,31 @@ def test_evolve_reports_catalogue_verdict(capsys):
         capsys,
     )
     assert code == 0
-    assert out.rstrip("\n").split("\n")[-1] == "# classification=converged_minimizer steps=48"
+    assert out.rstrip("\n").split("\n")[-1] == "# classification=converged_minimizer steps=98"
+
+
+def test_evolve_stops_like_an_avoid_probe(capsys):
+    # the stable-axis probe of the avoid cell double_well/gd/const:0.5
+    code, out, _ = run_cli(
+        ["evolve", "--objective", "double_well", "--algo", "gd", "--schedule", "const:0.5",
+         "--init=0,0.5", "--steps", "2000"],
+        capsys,
+    )
+    assert code == 0
+    assert out.rstrip("\n").split("\n")[-1] == "# classification=converged_strict_saddle steps=98"
+
+
+def test_evolve_pp_step_too_large_exits_two(capsys):
+    # sup alpha_k = 0.5 is not below 1/L = 1/26
+    code, out, err = run_cli(
+        ["evolve", "--objective", "double_well", "--algo", "pp", "--schedule", "const:0.5",
+         "--init", "1,1", "--steps", "3"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("StepTooLarge: ")
+    assert "Traceback" not in err
 
 
 def test_evolve_negative_init(capsys):
@@ -577,6 +621,9 @@ _QS_GD = ["--objective", "quad_saddle", "--algo", "gd"]
 _AVOID = ["avoid", *_QS_GD, "--schedule", "const:0.5", "--trials", "2"]
 _EVOLVE = ["evolve", *_QS_GD, "--schedule", "const:0.5", "--init", "1,1"]
 _SPHERE = ["--objective", "rayleigh_sphere", "--algo", "rgd", "--schedule", "const:0.5"]
+_QS_PP = ["certify", "--objective", "quad_saddle", "--algo", "pp", "--schedule", "const:0.5"]
+_EMPTY_LIST = ["--schedule", "list:@/dev/null"]
+_BAD_L = "L must be finite and positive"
 
 
 @pytest.mark.parametrize(
@@ -585,18 +632,28 @@ _SPHERE = ["--objective", "rayleigh_sphere", "--algo", "rgd", "--schedule", "con
         (["graphs", "--horizon", "0"], "need at least one pair"),
         (["graphs", "--delta", "0"], "delta must be positive"),
         (["graphs", "--radius", "0.3"], "radius must be an integer multiple of delta"),
-        (["graphs", "--samples", "0"], "zero-size array"),
+        (["graphs", "--samples", "0"], "samples must be >= 1"),
+        (["luzin", *_QS_GD, "--alpha-grid", "0.5", "--samples", "0"], "samples must be >= 1"),
         (["luzin", *_QS_GD, "--alpha-grid", "x"], "could not convert string to float"),
         (["luzin", *_QS_GD, "--alpha-grid", "0.5", "--box=inf"], "box must be finite and positive"),
         ([*_EVOLVE, "--steps", "0"], "max_steps must be >= 1"),
-        ([*_EVOLVE, "--steps", "3", "--stop-tol", "0"], "stop_tol must be positive"),
         ([*_AVOID, "--box=inf"], "box must be finite and positive"),
         ([*_AVOID, "--max-steps=-5"], "max_steps must be >= 1"),
         ([*_AVOID, "--max-steps", "0"], "max_steps must be >= 1"),
+        ([*_QS_PP, "--L=nan"], _BAD_L),
+        ([*_QS_PP, "--L=0"], _BAD_L),
+        ([*_QS_PP, "--L=-1"], _BAD_L),
+        ([*_QS_PP, "--L=inf"], _BAD_L),
+        (["certify", *_QS_GD, *_EMPTY_LIST], "explicit_list schedules need values"),
+        (["avoid", *_QS_GD, *_EMPTY_LIST, "--trials", "2"], "explicit_list schedules need values"),
+        (["evolve", *_QS_GD, *_EMPTY_LIST, "--init", "1,1", "--steps", "3"],
+         "explicit_list schedules need values"),
     ],
     ids=["graphs-horizon-0", "graphs-delta-0", "graphs-radius-0.3", "graphs-samples-0",
-         "luzin-grid-x", "luzin-box-inf", "evolve-steps-0", "evolve-stop-tol-0", "avoid-box-inf",
-         "avoid-max-steps--5", "avoid-max-steps-0"],
+         "luzin-samples-0", "luzin-grid-x", "luzin-box-inf", "evolve-steps-0", "avoid-box-inf",
+         "avoid-max-steps--5", "avoid-max-steps-0", "certify-L-nan", "certify-L-0",
+         "certify-L--1", "certify-L-inf", "certify-empty-list", "avoid-empty-list",
+         "evolve-empty-list"],
 )
 def test_bad_numeric_arguments_are_config_errors(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)

@@ -107,12 +107,19 @@ def test_run_trajectory_is_one_engine_call(monkeypatch):
     assert rec.steps_taken == 50
 
 
+@pytest.mark.parametrize("stop_tol", [0.0, -1.0, float("nan")])
+def test_run_trajectory_rejects_a_stop_tol_that_is_not_positive(stop_tol):
+    system = NonAutonomousSystem(lambda k: gd_map(quad_saddle_grad, 0.1), 2)
+    with pytest.raises(ValueError, match="stop_tol must be positive"):
+        run_trajectory(system, np.ones(2), max_steps=3, stop_tol=stop_tol)
+
+
 def test_run_trajectory_sampled_storage():
     system = NonAutonomousSystem(lambda k: SystemMap(lambda x: x * 0.999999), 1)
     rec = run_trajectory(
         system, np.array([1.0]), max_steps=2000, stop_tol=1e-300, store_cap=100
     )
-    assert dynsys.STORE_STRIDE == 100 and dynsys.TAIL_LENGTH == 60
+    assert dynsys.STORE_STRIDE == 100 and dynsys.STOP_WINDOW == 60
     ks = set(rec.step_indices.tolist())
     assert {0, 1, 100}.issubset(ks)
     assert {101, 150, 1899}.isdisjoint(ks)  # beyond cap, only strided + tail survive
