@@ -354,11 +354,14 @@ def _initial_points(
 
 
 def check_start(entry: CataloguedObjective, x, name: str) -> np.ndarray:
-    """x as a (d,) float array; raises ValueError on a wrong shape and, on
-    the sphere, on a norm more than UNIT_TOL from 1."""
+    """x as a (d,) float array; raises ValueError on a wrong shape, on a
+    non-finite coordinate and, on the sphere, on a norm more than
+    UNIT_TOL from 1."""
     x = np.asarray(x, dtype=float)
     if x.shape != (entry.dim,):
         raise ValueError(f"{name} has shape {x.shape}; {entry.key} needs dimension {entry.dim}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} has a non-finite coordinate: {x.tolist()}")
     if entry.is_sphere and not abs(np.linalg.norm(x) - 1.0) <= UNIT_TOL:
         raise ValueError(f"{name} has norm {np.linalg.norm(x):g}; {entry.key} needs a unit vector")
     return x

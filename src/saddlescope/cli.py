@@ -214,6 +214,8 @@ def _preset_chain(name: str, horizon: int):
 
 
 def cmd_graphs(args) -> int:
+    if np.isnan(args.max_residual):  # every comparison with NaN is False
+        raise ConfigError("max_residual must not be NaN")
     chain_spec = _preset_chain(args.chain, args.horizon)
     out = _outdir(args, "graphs")
     chain = compose_phi(chain_spec, tol=args.tol, radius=args.radius, delta=args.delta)

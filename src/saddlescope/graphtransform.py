@@ -47,7 +47,10 @@ class GraphFunction:
     values holds one E_u vector per node.  Evaluation is multilinear
     between nodes and clamps each coordinate to the box outside it,
     which extends the function with zero slope and so preserves the
-    Lipschitz bound.
+    Lipschitz bound.  values keeps the shape (npts,)*m + (n,) and may be
+    written after construction; evaluation reads it afresh on every call
+    through its flat C-order buffer, where node i's E_u vector is the
+    run of n entries at n*i.
     """
 
     def __init__(
@@ -110,22 +113,52 @@ class GraphFunction:
         return (self.npts // 2,) * self.m
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        """Clamped multilinear interpolation; (..., m) -> (..., n)."""
+        """Clamped multilinear interpolation; (..., m) -> (..., n).
+
+        Evaluated as a stencil on the flat values buffer: a point's 2^m
+        corner nodes sit at fixed offsets from its flat base index, and
+        component k of node i is entry n*i + k, so each corner is one
+        np.take per E_u component and every pass runs over arrays with
+        one entry per point.  The arithmetic is the per-node formula's
+        in the same order: a corner's weight is the product of the
+        per-axis factors 1 - frac and frac in axis order, and corners
+        are added, in itertools.product order, to a zero start.
+        """
         y = np.asarray(y, dtype=float)
         scalar_in = y.ndim == 1
-        pts = y.reshape(-1, self.m)
-        u = np.clip(pts, -self.radius, self.radius)
-        t = (u + self.radius) / self.delta
-        idx = np.clip(np.floor(t).astype(int), 0, self.npts - 2)
-        frac = t - idx
-        out = np.zeros((len(pts), self.n))
-        for corner in itertools.product((0, 1), repeat=self.m):
-            w = np.ones(len(pts))
-            for j, b in enumerate(corner):
-                w = w * (frac[:, j] if b else 1.0 - frac[:, j])
-            nodes = tuple(idx[:, j] + corner[j] for j in range(self.m))
-            out += w[:, None] * self.values[nodes]
-        return out[0] if scalar_in else out.reshape(y.shape[:-1] + (self.n,))
+        m, n = self.m, self.n
+        frac = y.reshape(-1, m).T.copy()  # (m, N): one row per axis
+        np.clip(frac, -self.radius, self.radius, out=frac)
+        frac += self.radius
+        frac /= self.delta
+        idx = np.floor(frac).astype(int)
+        np.clip(idx, 0, self.npts - 2, out=idx)
+        frac -= idx
+        factors = (1.0 - frac, frac)
+        base = idx[0]  # becomes n * (flat index of the lowest corner)
+        for j in range(1, m):
+            base *= self.npts
+            base += idx[j]
+        base *= n
+        flat = self.values.reshape(-1)
+        N = len(base)
+        out = np.zeros((N, n))
+        weight, gathered, nodes = np.empty(N), np.empty(N), np.empty_like(base)
+        for corner in itertools.product((0, 1), repeat=m):
+            w = factors[corner[0]][0]
+            offset = corner[0]
+            for j in range(1, m):
+                w = np.multiply(w, factors[corner[j]][j], out=weight)
+                offset = offset * self.npts + corner[j]
+            for k in range(n):
+                shift = offset * n + k
+                ix = np.add(base, shift, out=nodes) if shift else base
+                # ix is in range by construction; mode="clip" lets np.take
+                # write straight into `gathered`
+                np.take(flat, ix, out=gathered, mode="clip")
+                np.multiply(w, gathered, out=gathered)
+                out[:, k] += gathered
+        return out[0] if scalar_in else out.reshape(y.shape[:-1] + (n,))
 
     # -- invariants ------------------------------------------------------------
 
@@ -134,7 +167,7 @@ class GraphFunction:
         worst = 0.0
         for ax in range(self.m):
             d = np.diff(self.values, axis=ax)
-            worst = max(worst, float(np.max(np.linalg.norm(d, axis=-1))) / self.delta)
+            worst = max(worst, float(np.max(_row_norms(d))) / self.delta)
         return worst
 
     def validate(self) -> None:
@@ -234,15 +267,33 @@ class PHPair:
         return (self.lam + 2.0 * self.eps) / (self.mu - 2.0 * self.eps)
 
 
-def _aux_rhs(pair: PHPair, phi: Callable, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """One sweep z <- (T|E_u)^{-1} (phi(g_cs(y,z)) - (g_u - T_u)(y,z))."""
+def _row_norms(D: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(D, axis=-1), bit for bit, without passes along the last axis.
+
+    The last axis has length n <= MAX_FACTOR_DIM, so adding the squared
+    components one at a time is the order np.add.reduce uses, while each
+    pass runs over one entry per row.
+    """
+    sq = D[..., 0] * D[..., 0]
+    for k in range(1, D.shape[-1]):
+        sq += D[..., k] * D[..., k]
+    return np.sqrt(sq, out=sq)
+
+
+def _aux_rhs(pair: PHPair, phi: Callable, Xcs: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """One sweep z <- (T|E_u)^{-1} (phi(g_cs(y,z)) - (g_u - T_u)(y,z)).
+
+    Xcs is the E_cs part Y @ basis_cs.T of the embedded points, so the
+    point is Xcs + Z @ basis_u.T, the sum Splitting.embed forms.
+    """
     sp = pair.splitting
-    X = sp.embed(Y, Z)
+    X = Z @ sp.basis_u.T
+    np.add(Xcs, X, out=X)
     GX = np.asarray(pair.g.evaluate(X), dtype=float)
     gcs = sp.coords_cs(GX)
     gu = sp.coords_u(GX)
-    Tu = sp.coords_u(X @ pair.T.T)
-    return (np.asarray(phi(gcs)) - (gu - Tu)) @ pair._A_u_inv.T
+    gu -= sp.coords_u(X @ pair.T.T)
+    return (np.asarray(phi(gcs)) - gu) @ pair._A_u_inv.T
 
 
 def _solve_fixed_points(
@@ -257,14 +308,19 @@ def _solve_fixed_points(
     The contraction factor 2 eps / mu < 1 guarantees geometric
     convergence; successive-step ratios above 1 (measured away from the
     floating-point noise floor) raise NoContraction.
+
+    Y's E_cs part Y @ basis_cs.T is formed once per solve; each sweep
+    adds only Z @ basis_u.T, so the points, and every result, are
+    bit-for-bit those of embedding Y afresh in every sweep.
     """
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    Xcs = Y @ pair.splitting.basis_cs.T
     Z = np.zeros((len(Y), pair.n))
     prev_step = None
     floor = max(10.0 * tol, 1e-12)
     for it in range(FIXED_POINT_MAX_ITER):
-        Znew = _aux_rhs(pair, phi, Y, Z)
-        step = np.linalg.norm(Znew - Z, axis=1)
+        Znew = _aux_rhs(pair, phi, Xcs, Z)
+        step = _row_norms(Znew - Z)
         if prev_step is not None:
             mask = prev_step > floor
             if np.any(mask):

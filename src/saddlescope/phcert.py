@@ -82,8 +82,8 @@ class Schedule:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise InvalidParameter(f"unknown schedule family {self.family!r}")
-        if self.family != "explicit_list" and not self.alpha0 > 0:
-            raise InvalidParameter("alpha0 must be positive")
+        if self.family != "explicit_list" and not 0 < self.alpha0 < math.inf:
+            raise InvalidParameter("alpha0 must be finite and positive")
         if self.family in ("polynomial", "cosine"):
             if self.gamma is None or not self.gamma > 0:
                 raise InvalidParameter("polynomial/cosine schedules need gamma > 0")
@@ -94,8 +94,8 @@ class Schedule:
             if self.values is None or len(self.values) == 0:
                 raise InvalidParameter("explicit_list schedules need values")
             vals = np.asarray(self.values, dtype=float)
-            if not np.all(vals > 0):
-                raise InvalidParameter("explicit step sizes must be positive")
+            if not np.all((vals > 0) & (vals < math.inf)):
+                raise InvalidParameter("explicit step sizes must be finite and positive")
             object.__setattr__(self, "values", tuple(float(v) for v in vals))
             object.__setattr__(self, "alpha0", float(vals[0]))
 

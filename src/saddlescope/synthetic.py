@@ -79,7 +79,11 @@ def random_ph_pair(rng: np.random.Generator, m: int, n: int) -> PHPair:
         x = np.asarray(x, dtype=float)
         out = x @ T.T
         for a, w, v in terms:
-            out = out + a * np.sin(x @ v)[..., None] * w
+            s = a * np.sin(x @ v)
+            # one pass per component: a broadcast over the short last
+            # axis is numpy's slow path; each product is the same
+            for j, wj in enumerate(w):
+                out[..., j] += s * wj
         return out
 
     gmap = SystemMap(evaluate)

@@ -351,6 +351,14 @@ def test_graphs_perturbed_chain(capsys):
     assert report["contraction"]["ok"]
 
 
+@pytest.mark.parametrize("budget, code", [("-1", 2), ("inf", 0)])
+def test_graphs_residual_budget_is_compared(budget, code, capsys):
+    argv = ["graphs", "--chain", "perturbed", "--horizon", "2", "--samples", "100"]
+    got, out, _ = run_cli([*argv, f"--max-residual={budget}"], capsys)
+    assert got == code
+    assert json.loads(out)["residual_budget"] == float(budget)
+
+
 def test_graphs_mismatched_exits_one(capsys):
     code, _, err = run_cli(
         ["graphs", "--chain", "mismatched", "--horizon", "4"], capsys
@@ -648,14 +656,28 @@ _BAD_L = "L must be finite and positive"
         (["avoid", *_QS_GD, *_EMPTY_LIST, "--trials", "2"], "explicit_list schedules need values"),
         (["evolve", *_QS_GD, *_EMPTY_LIST, "--init", "1,1", "--steps", "3"],
          "explicit_list schedules need values"),
+        (["luzin", *_SPHERE[:4], "--alpha-grid=inf", "--samples", "3"],
+         "alpha0 must be finite and positive"),
+        (["certify", *_QS_GD, "--schedule", "const:inf"], "alpha0 must be finite and positive"),
+        (["avoid", *_QS_GD, "--schedule", "list:@STEPS_WITH_INF", "--trials", "2"],
+         "explicit step sizes must be finite and positive"),
+        (["graphs", "--horizon", "2", "--max-residual=nan"], "max_residual must not be NaN"),
+        (["avoid", "--objective", "quad_saddle", "--algo", "pp", "--schedule", "const:0.5",
+          "--trials", "2", "--init-on", "nan,0"], "probe 0 has a non-finite coordinate"),
+        ([*_EVOLVE[:-1], "nan,0", "--steps", "5"], "init has a non-finite coordinate"),
+        ([*_EVOLVE[:-1], "1,-inf", "--steps", "5"], "init has a non-finite coordinate"),
     ],
     ids=["graphs-horizon-0", "graphs-delta-0", "graphs-radius-0.3", "graphs-samples-0",
          "luzin-samples-0", "luzin-grid-x", "luzin-box-inf", "evolve-steps-0", "avoid-box-inf",
          "avoid-max-steps--5", "avoid-max-steps-0", "certify-L-nan", "certify-L-0",
          "certify-L--1", "certify-L-inf", "certify-empty-list", "avoid-empty-list",
-         "evolve-empty-list"],
+         "evolve-empty-list", "luzin-alpha-inf", "certify-const-inf", "avoid-list-inf",
+         "graphs-max-residual-nan", "avoid-pp-probe-nan", "evolve-init-nan", "evolve-init-inf"],
 )
-def test_bad_numeric_arguments_are_config_errors(argv, message, capsys):
+def test_bad_numeric_arguments_are_config_errors(argv, message, capsys, tmp_path):
+    steps = tmp_path / "steps.txt"
+    steps.write_text("0.5 inf 0.25\n")
+    argv = [a.replace("@STEPS_WITH_INF", f"@{steps}") for a in argv]
     code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert out == ""

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -182,8 +183,9 @@ def test_parameter_lipschitz_bound():
         Y = rng.uniform(-1, 1, size=(400, 1))
         Y2 = rng.uniform(-1, 1, size=(400, 1))
         z = rng.uniform(-0.5, 0.5, size=(1, 1))
-        H1 = _aux_rhs(pair, phi, Y, np.broadcast_to(z, (400, 1)))
-        H2 = _aux_rhs(pair, phi, Y2, np.broadcast_to(z, (400, 1)))
+        Xcs, Xcs2 = Y @ pair.splitting.basis_cs.T, Y2 @ pair.splitting.basis_cs.T
+        H1 = _aux_rhs(pair, phi, Xcs, np.broadcast_to(z, (400, 1)))
+        H2 = _aux_rhs(pair, phi, Xcs2, np.broadcast_to(z, (400, 1)))
         num = np.linalg.norm(H1 - H2, axis=1)
         den = np.linalg.norm(Y - Y2, axis=1)
         keep = den > 1e-9
@@ -392,3 +394,130 @@ def test_invariance_rejects_wrong_phi_pair():
     wrong = identity_graph()
     with pytest.raises(ValueError):
         verify_graph_invariance(pair, wrong, z, samples=10, tol=1e-10)
+
+
+# --- the stencil and the sweep against the per-node formulas ----------------
+#
+# The references below are the straightforward formulations: corners
+# gathered with a tuple index into the (npts,)*m + (n,) values array,
+# the lattice re-embedded by Splitting.embed in every sweep, norms from
+# np.linalg.norm.  The fast paths must reproduce them bit for bit.
+
+
+def reference_interpolate(phi, y):
+    y = np.asarray(y, dtype=float)
+    scalar_in = y.ndim == 1
+    pts = y.reshape(-1, phi.m)
+    u = np.clip(pts, -phi.radius, phi.radius)
+    t = (u + phi.radius) / phi.delta
+    idx = np.clip(np.floor(t).astype(int), 0, phi.npts - 2)
+    frac = t - idx
+    out = np.zeros((len(pts), phi.n))
+    for corner in itertools.product((0, 1), repeat=phi.m):
+        w = np.ones(len(pts))
+        for j, b in enumerate(corner):
+            w = w * (frac[:, j] if b else 1.0 - frac[:, j])
+        nodes = tuple(idx[:, j] + corner[j] for j in range(phi.m))
+        out += w[:, None] * phi.values[nodes]
+    return out[0] if scalar_in else out.reshape(y.shape[:-1] + (phi.n,))
+
+
+def reference_lipschitz_upper(phi):
+    worst = 0.0
+    for ax in range(phi.m):
+        d = np.diff(phi.values, axis=ax)
+        worst = max(worst, float(np.max(np.linalg.norm(d, axis=-1))) / phi.delta)
+    return worst
+
+
+def reference_sine_evaluate(pair):
+    """random_ph_pair's map as x T^T + sum_i a_i sin(x . v_i) w_i, one
+    broadcast product per term, from the terms its closure holds."""
+    fn = pair.g.evaluate
+    cells = dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))
+    T, terms = cells["T"], cells["terms"]
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=float)
+        out = x @ T.T
+        for a, w, v in terms:
+            out = out + a * np.sin(x @ v)[..., None] * w
+        return out
+
+    return evaluate
+
+
+def reference_solve(pair, phi, Y, tol, ratio_sink):
+    """The fixed-point iteration with every sweep built from scratch."""
+    sp = pair.splitting
+    evaluate = reference_sine_evaluate(pair)
+    Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    Z = np.zeros((len(Y), pair.n))
+    prev_step = None
+    floor = max(10.0 * tol, 1e-12)
+    while True:
+        X = sp.embed(Y, Z)
+        GX = np.asarray(evaluate(X), dtype=float)
+        Tu = sp.coords_u(X @ pair.T.T)
+        rhs = reference_interpolate(phi, sp.coords_cs(GX)) - (sp.coords_u(GX) - Tu)
+        Znew = rhs @ pair._A_u_inv.T
+        step = np.linalg.norm(Znew - Z, axis=1)
+        if prev_step is not None:
+            mask = prev_step > floor
+            if np.any(mask):
+                ratio_sink.append(float(np.max(step[mask] / prev_step[mask])))
+        prev_step = step
+        Z = Znew
+        if float(np.max(step)) <= tol:
+            return Z
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize("delta", [1.0 / 64.0, 1.0 / 128.0])
+@pytest.mark.parametrize("radius", [1.0, 2.0])
+def test_interpolation_matches_tuple_indexed_formula_bitwise(m, n, delta, radius):
+    rng = np.random.default_rng([m, n, int(1 / delta), int(radius)])
+    phi = GraphFunction(m, n, radius, delta)
+    phi.values[...] = rng.standard_normal(phi.values.shape)
+    axis = phi.axis
+    special = np.concatenate(
+        [axis[rng.integers(0, len(axis), 40)], [-radius, radius, -0.0, 0.0]]
+    )
+    batches = [
+        rng.uniform(-radius, radius, size=(300, m)),  # inside the box
+        rng.uniform(-3.0 * radius, 3.0 * radius, size=(300, m)),  # mostly outside
+        rng.choice(special, size=(300, m)),  # nodes, box edges, signed zeros
+        rng.uniform(-1.5 * radius, 1.5 * radius, size=(4, 5, m)),  # extra batch axes
+    ]
+    for Y in batches:
+        assert same_bits(phi(Y), reference_interpolate(phi, Y))
+        for y in Y.reshape(-1, m)[:20]:
+            assert same_bits(phi(y), reference_interpolate(phi, y))
+    assert phi.lipschitz_upper() == reference_lipschitz_upper(phi)
+    # a zero start turns -0.0 data into +0.0, as the per-node sum does
+    neg_zero = phi.like(np.full(phi.values.shape, -0.0))
+    assert same_bits(neg_zero(batches[0]), reference_interpolate(neg_zero, batches[0]))
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_graph_transform_matches_reference_solve_bitwise(m, n):
+    rng = np.random.default_rng([31, m, n])
+    pair = random_ph_pair(rng, m, n)
+    delta = 1.0 / 64.0 if m == 1 else 1.0 / 16.0
+    tol = 1e-10
+    X = rng.uniform(-2.0, 2.0, size=(50, m + n))
+    assert same_bits(pair.g.evaluate(X), reference_sine_evaluate(pair)(X))
+    assert same_bits(pair.g.evaluate(X[0]), reference_sine_evaluate(pair)(X[0]))
+    for phi in (GraphFunction.zero(m, n, 1.0, delta), random_f1_graph(rng, m, n, delta=delta)):
+        sink, ref_sink = [], []
+        out = graph_transform(pair, phi, tol, ratio_sink=sink)
+        Z = reference_solve(pair, phi, phi.node_coords(), tol, ref_sink)
+        ref = Z.reshape(phi.values.shape)
+        ref[phi.origin_index] = 0.0
+        assert same_bits(out.values, ref)
+        assert sink == ref_sink and len(sink) > 0
