@@ -150,6 +150,24 @@ class TrajectoryRecord:
 
 # --- the stepping engine ----------------------------------------------------------
 
+
+def _row_sumsq(X: np.ndarray) -> np.ndarray:
+    """Per-row sum of squares over the last axis, the d squares added in order.
+
+    One pass squares every entry and d - 1 column adds follow, where
+    np.add.reduce(X * X, axis=-1) runs a short loop for every row.  numpy
+    adds up to seven components in this order (from a leading 0.0, which
+    leaves a square as it is), so for d <= 7 the bits agree, ±0, inf and
+    NaN included; from d = 8 on its pairwise unrolling changes the order.
+    Every caller has d <= 3.
+    """
+    P = X * X
+    sq = P[..., 0]
+    for k in range(1, X.shape[-1]):
+        sq = sq + P[..., k]
+    return sq
+
+
 ACTIVE, STOPPED, DIVERGED = 0, 1, 2  # row status codes
 
 
@@ -206,11 +224,11 @@ def evolve_batch(
             h += 1
             history[h, rows] = X1
         D = X1 - Xa
-        small = np.sqrt(np.add.reduce(D * D, axis=1)) < stop_tol
+        small = np.sqrt(_row_sumsq(D)) < stop_tol
         if top or np.count_nonzero(small):
             run = np.where(small, run + 1, 0)
             top = np.maximum.reduce(run)
-        sq = np.add.reduce(X1 * X1, axis=1)
+        sq = _row_sumsq(X1)
         # max(norm) <= R, as sqrt is monotone; a NaN norm fails it
         if not math.sqrt(np.maximum.reduce(sq)) <= DIVERGENCE_RADIUS or top >= STOP_WINDOW:
             stop = run >= STOP_WINDOW

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynsys import Splitting, SystemMap
+from .dynsys import Splitting, SystemMap, _row_sumsq
 
 MAX_FACTOR_DIM = 2  # function-space iteration is exponential in dim(E_cs)
 DEFAULT_RADIUS = 1.0
@@ -198,9 +198,9 @@ def function_norm(phi: GraphFunction) -> float:
     """
     Y = phi.node_coords()
     V = phi.nodal_values()
-    ny = np.linalg.norm(Y, axis=1)
+    ny = _row_norms(Y)
     keep = ny > 0
-    return float(np.max(np.linalg.norm(V[keep], axis=1) / ny[keep]))
+    return float(np.max(_row_norms(V[keep]) / ny[keep]))
 
 
 @dataclass(frozen=True)
@@ -268,15 +268,12 @@ class PHPair:
 
 
 def _row_norms(D: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(D, axis=-1), bit for bit, without passes along the last axis.
+    """np.linalg.norm(D, axis=-1), bit for bit, from dynsys._row_sumsq.
 
-    The last axis has length n <= MAX_FACTOR_DIM, so adding the squared
-    components one at a time is the order np.add.reduce uses, while each
-    pass runs over one entry per row.
+    The last axis has length n <= MAX_FACTOR_DIM, inside the helper's
+    bit-identical range.
     """
-    sq = D[..., 0] * D[..., 0]
-    for k in range(1, D.shape[-1]):
-        sq += D[..., k] * D[..., k]
+    sq = _row_sumsq(D)
     return np.sqrt(sq, out=sq)
 
 
@@ -425,7 +422,7 @@ def potential(phi: GraphFunction, splitting: Splitting, x: np.ndarray) -> np.nda
     """Deviation ||p_u(x) - phi(p_cs(x))|| of x from the graph of phi."""
     z = splitting.coords_u(x)
     y = splitting.coords_cs(x)
-    return np.linalg.norm(z - phi(y), axis=-1)
+    return np.sqrt(_row_sumsq(z - phi(y)))  # x may be one point
 
 
 @dataclass
@@ -519,7 +516,7 @@ def verify_graph_invariance(
     nodes = phi_k.node_coords()
     pick = rng.choice(len(nodes), size=min(CONSISTENCY_NODES, len(nodes)), replace=False)
     resolved = _solve_fixed_points(pair_k, phi_k1, nodes[pick], tol)
-    drift = np.max(np.linalg.norm(resolved - phi_k.nodal_values()[pick], axis=1))
+    drift = np.max(_row_norms(resolved - phi_k.nodal_values()[pick]))
     if drift > max(100 * tol, 1e-8):
         raise ValueError(
             f"phi_k is not the graph transform of phi_k1 (nodal drift {drift:.3e})"
@@ -527,8 +524,5 @@ def verify_graph_invariance(
     Y = rng.uniform(-phi_k.radius, phi_k.radius, size=(samples, phi_k.m))
     X = pair_k.splitting.embed(Y, phi_k(Y))
     GX = np.asarray(pair_k.g.evaluate(X), dtype=float)
-    resid = np.linalg.norm(
-        pair_k.splitting.coords_u(GX) - phi_k1(pair_k.splitting.coords_cs(GX)),
-        axis=1,
-    )
+    resid = _row_norms(pair_k.splitting.coords_u(GX) - phi_k1(pair_k.splitting.coords_cs(GX)))
     return float(np.max(resid))

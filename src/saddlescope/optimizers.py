@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynsys import NonAutonomousSystem, SystemMap
+from .dynsys import NonAutonomousSystem, SystemMap, _row_sumsq
 from .phcert import Schedule, StepTooLarge, schedule_sup, step_size
 
 
@@ -57,14 +57,14 @@ class SphereObjective:
         """(I - x x^T) grad f(x) for unit-norm x; vectorized."""
         x = np.asarray(x, dtype=float)
         g = np.asarray(self.ambient.grad(x), dtype=float)
-        s = np.sum(x * g, axis=-1, keepdims=True)
+        s = np.add.reduce(x * g, axis=-1, keepdims=True)
         return g - s * x
 
     def retraction(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Metric projection R_x(v) = (x + v)/||x + v||; for unit x and
         tangent v the denominator is sqrt(1 + ||v||^2) >= 1."""
         w = np.asarray(x, dtype=float) + np.asarray(v, dtype=float)
-        return w / np.linalg.norm(w, axis=-1, keepdims=True)
+        return w / np.sqrt(_row_sumsq(w))[..., None]
 
     def riemannian_hessian(self, x: np.ndarray) -> np.ndarray:
         """Tangent-coordinate Riemannian Hessian Q^T (H - (x.grad f) I) Q.
@@ -84,12 +84,28 @@ class SphereObjective:
 
 # --- small batched linear solves ---------------------------------------------
 
+# The adjugate of J = [[a, b, c], [e, f, g], [h, i, j]] in row-major order,
+# [[A, D, G], [B, E, H], [C, Fm, I2]], each entry from the flat indices
+# (p, q, r, s) of its 2x2 product J[p] J[q] - J[r] J[s]; solve_small
+# negates the odd entries D, B, H and Fm
+_ADJ3 = np.array(
+    [
+        (4, 8, 5, 7), (1, 8, 2, 7), (1, 5, 2, 4),  # A = fj - gi, D = -(bj - ci), G = bg - cf
+        (3, 8, 5, 6), (0, 8, 2, 6), (0, 5, 2, 3),  # B = -(ej - gh), E = aj - ch, H = -(ag - ce)
+        (3, 7, 4, 6), (0, 7, 1, 6), (0, 4, 1, 3),  # C = ei - fh, Fm = -(ai - bh), I2 = af - be
+    ]
+).T
+
 
 def solve_small(J: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Solve J x = F batched over leading axes, closed-form for d <= 3.
+    """Solve J x = F batched over the leading axes J and F share.
 
-    The explicit formulas keep the proximal inner loop cheap at desk
-    scale and bitwise-reproducible across batch shapes.
+    Cramer's rule for d <= 3 keeps the proximal inner loop cheap at desk
+    scale and bitwise-reproducible across batch shapes: with the cofactors
+    of _ADJ3, det = a A + b B + c C and x_0 = (A F_0 + D F_1 + G F_2) / det,
+    summed left to right.  For d = 3 one gather forms all nine 2x2
+    products on component-major (9, N) planes, so every operation runs
+    over one entry per row.
     """
     d = J.shape[-1]
     if d == 1:
@@ -97,28 +113,24 @@ def solve_small(J: np.ndarray, F: np.ndarray) -> np.ndarray:
     if d == 2:
         a, b = J[..., 0, 0], J[..., 0, 1]
         c, e = J[..., 1, 0], J[..., 1, 1]
+        F0, F1 = F[..., 0], F[..., 1]
         det = a * e - b * c
-        x0 = (e * F[..., 0] - b * F[..., 1]) / det
-        x1 = (a * F[..., 1] - c * F[..., 0]) / det
-        return np.stack([x0, x1], axis=-1)
+        out = np.empty(F.shape)
+        np.divide(e * F0 - b * F1, det, out=out[..., 0])
+        np.divide(a * F1 - c * F0, det, out=out[..., 1])
+        return out
     if d == 3:
-        a, b, c = J[..., 0, 0], J[..., 0, 1], J[..., 0, 2]
-        e, f, g = J[..., 1, 0], J[..., 1, 1], J[..., 1, 2]
-        h, i, j = J[..., 2, 0], J[..., 2, 1], J[..., 2, 2]
-        A = f * j - g * i
-        B = -(e * j - g * h)
-        C = e * i - f * h
-        det = a * A + b * B + c * C
-        D = -(b * j - c * i)
-        E = a * j - c * h
-        Fm = -(a * i - b * h)
-        G = b * g - c * f
-        H = -(a * g - c * e)
-        I2 = a * f - b * e
-        x0 = (A * F[..., 0] + D * F[..., 1] + G * F[..., 2]) / det
-        x1 = (B * F[..., 0] + E * F[..., 1] + H * F[..., 2]) / det
-        x2 = (C * F[..., 0] + Fm * F[..., 1] + I2 * F[..., 2]) / det
-        return np.stack([x0, x1, x2], axis=-1)
+        Jt = np.ascontiguousarray(J.reshape(-1, 9).T)
+        P = Jt[_ADJ3]  # (4, 9, N)
+        adj = P[0] * P[1]
+        adj -= P[2] * P[3]
+        np.negative(adj[1::2], out=adj[1::2])
+        det = Jt[0] * adj[0] + Jt[1] * adj[3] + Jt[2] * adj[6]
+        T = adj.reshape(3, 3, -1) * F.reshape(-1, 3).T  # T[k, l] = adj[k, l] F_l
+        x = T[:, 0] + T[:, 1]
+        x += T[:, 2]
+        x /= det
+        return x.T.reshape(F.shape)
     return np.linalg.solve(J, F[..., None])[..., 0]
 
 
@@ -203,18 +215,19 @@ def prox_solve(
     X = np.asarray(X, dtype=float)
     Z = X.copy()
     eye = np.eye(X.shape[-1])
-    # sqrt(sum of squares): the bits of np.linalg.norm without its overhead
-    tol = np.maximum(inner_tol, _ROUNDING_FLOOR * np.sqrt(np.add.reduce(X * X, axis=-1)))
+    # row norms from dynsys._row_sumsq, the bits of np.linalg.norm
+    tol = np.maximum(inner_tol, _ROUNDING_FLOOR * np.sqrt(_row_sumsq(X)))
     for _ in range(PROX_MAX_ITER + 1):
         F = prox_inverse(objective, alpha, Z) - X
-        done = np.sqrt(np.add.reduce(F * F, axis=-1)) <= tol
-        if done.all():
+        done = np.sqrt(_row_sumsq(F)) <= tol
+        n_done = np.count_nonzero(done)
+        if n_done == done.size:
             return Z
         J = eye + alpha * np.asarray(objective.hess(Z), dtype=float)
         step = solve_small(J, F)
-        if done.ndim:
+        if n_done:
             step[done] = 0.0
-        Z = Z - step
+        Z -= step
     raise InnerSolveFailed(
         f"proximal Newton residual above {inner_tol:g} after {PROX_MAX_ITER} steps; "
         "check the declared Lipschitz constant"

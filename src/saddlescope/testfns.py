@@ -16,6 +16,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .dynsys import _row_sumsq
 from .optimizers import Objective, SphereObjective
 
 MIN = "min"
@@ -31,7 +32,7 @@ class CriticalPoint:
     eigenvalues: tuple  # Hessian spectrum, descending
 
     def distance(self, x: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(np.asarray(x) - self.point, axis=-1)
+        return np.sqrt(_row_sumsq(np.asarray(x, dtype=float) - self.point))
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,7 @@ class CataloguedObjective:
             g = self.objective.riemannian_grad(x)
         else:
             g = self.objective.grad(x)
-        return np.linalg.norm(np.asarray(g), axis=-1)
+        return np.sqrt(_row_sumsq(np.asarray(g, dtype=float)))
 
     def nearest_critical(self, x: np.ndarray):
         """(entry, distance) of the closest catalogued critical set."""
@@ -110,7 +111,9 @@ def _quad_saddle() -> CataloguedObjective:
 
     def grad(x):
         x = np.asarray(x, dtype=float)
-        return np.stack([x[..., 0], -x[..., 1]], axis=-1)
+        out = x.copy()
+        np.negative(x[..., 1], out=out[..., 1])
+        return out
 
     def hess(x):
         x = np.asarray(x, dtype=float)
@@ -128,13 +131,18 @@ def _double_well() -> CataloguedObjective:
 
     def grad(x):
         x = np.asarray(x, dtype=float)
-        return np.stack([x[..., 0] ** 3 - x[..., 0], x[..., 1]], axis=-1)
+        x0 = x[..., 0]
+        out = x.copy()
+        np.subtract(x0 ** 3, x0, out=out[..., 0])
+        return out
+
+    H1 = np.array([[0.0, 0.0], [0.0, 1.0]])  # the Hessian less its (0, 0) entry
 
     def hess(x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (2, 2))
+        out = np.empty(x.shape[:-1] + (2, 2))
+        out[...] = H1
         out[..., 0, 0] = 3.0 * x[..., 0] ** 2 - 1.0
-        out[..., 1, 1] = 1.0
         return out
 
     # gradient is cubic, so not globally Lipschitz; L = max(3*9 - 1, 1)
@@ -155,9 +163,10 @@ def _saddle_line() -> CataloguedObjective:
 
     def grad(x):
         x = np.asarray(x, dtype=float)
-        return np.stack(
-            [x[..., 0], -x[..., 1], np.zeros_like(x[..., 2])], axis=-1
-        )
+        out = x.copy()
+        np.negative(x[..., 1], out=out[..., 1])
+        out[..., 2] = 0.0
+        return out
 
     H = np.diag([1.0, -1.0, 0.0])
 
@@ -170,7 +179,7 @@ def _saddle_line() -> CataloguedObjective:
         sample=lambda t: np.stack(
             [np.zeros_like(t), np.zeros_like(t), np.asarray(t, dtype=float)], axis=-1
         ),
-        distance_fn=lambda x: np.linalg.norm(np.asarray(x)[..., :2], axis=-1),
+        distance_fn=lambda x: np.sqrt(_row_sumsq(np.asarray(x, dtype=float)[..., :2])),
         classification=STRICT_SADDLE,
         eigenvalues=(1.0, 0.0, -1.0),
     )

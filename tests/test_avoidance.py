@@ -380,12 +380,24 @@ REPORT_DIGESTS = [
      "7e0753758defd6ad4eab370dd198a9c92104711b1a2e0f6b721816a61fca5849"),
     ("rayleigh_sphere", "rgd", 13, [],
      "68339c89e471086f77ed9e3c311756f0e7a119d61abcd7a2c223b463b9f3248e"),
+    ("saddle_line", "pp", 14, [],
+     "ddd375545d279b23672edd872c4adc94ef8e41b552632b0de1154bbbd5319a4d"),
+    ("double_well", "pp", 15, [(0.0, 0.5)],
+     "42679035e5b6d310bbf54b778ef19b91e90692cb880658cc7ad8681cf38da708"),
 ]
+# the pinned cells that are not 200 trials at constant step 0.5, by seed: a
+# vanishing-step cosine cell whose trials run their whole budget, and 199
+# trials plus a probe (200 rows) at double_well's pp step 0.5 / L
+PINNED_CELLS = {
+    14: dict(schedule=cosine_schedule(0.5, 1.0, 4), trials=64, max_steps=3000),
+    15: dict(schedule=constant_schedule(0.5 / 26.0), trials=199),
+}
 
 
 @pytest.mark.parametrize("key, algo, seed, probes, digest", REPORT_DIGESTS)
 def test_report_bytes_are_pinned(key, algo, seed, probes, digest):
-    r = monte_carlo_avoidance(key, algo, constant_schedule(0.5), trials=200, seed=seed, probes=probes)
+    cell = PINNED_CELLS.get(seed, dict(schedule=constant_schedule(0.5), trials=200))
+    r = monte_carlo_avoidance(key, algo, seed=seed, probes=probes, **cell)
     assert hashlib.sha256((r.to_json() + r.to_csv()).encode()).hexdigest() == digest
 
 

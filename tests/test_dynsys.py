@@ -221,3 +221,23 @@ def test_counterexample_exact_rational_oracle():
 def test_counterexample_product_is_zero():
     prod = counterexample_product()
     assert np.max(np.abs(prod)) < 1e-9
+
+
+def _special_rows(rng, shape):
+    """Normals over a wide range of scales, with ±0, ±inf and NaN mixed in."""
+    X = rng.standard_normal(shape) * np.exp(rng.uniform(-300, 300, shape))
+    for value, share in ((0.0, 0.1), (-0.0, 0.1), (np.inf, 0.02), (-np.inf, 0.02), (np.nan, 0.02)):
+        X[rng.random(shape) < share] = value
+    return X
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_row_sumsq_matches_add_reduce_bitwise(d):
+    rng = np.random.default_rng(d)
+    for shape in ((4000, d), (50, 80, d), (d,)):
+        X = _special_rows(rng, shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.add.reduce(X * X, axis=-1)
+            got = dynsys._row_sumsq(X)
+        assert np.shape(got) == want.shape
+        assert np.asarray(got).tobytes() == want.tobytes(), (d, shape)

@@ -361,3 +361,70 @@ def test_lift_requires_fixed_point():
     x = np.array([0.6, 0.8, 0.0])
     with pytest.raises(ValueError):
         lift_to_tangent(entry.objective, x, sys_)
+
+
+def _cramer(J, F):
+    """The closed-form solve written out entry by entry, for d = 2 and 3."""
+    if J.shape[-1] == 2:
+        a, b = J[..., 0, 0], J[..., 0, 1]
+        c, e = J[..., 1, 0], J[..., 1, 1]
+        det = a * e - b * c
+        x0 = (e * F[..., 0] - b * F[..., 1]) / det
+        x1 = (a * F[..., 1] - c * F[..., 0]) / det
+        return np.stack([x0, x1], axis=-1)
+    a, b, c = J[..., 0, 0], J[..., 0, 1], J[..., 0, 2]
+    e, f, g = J[..., 1, 0], J[..., 1, 1], J[..., 1, 2]
+    h, i, j = J[..., 2, 0], J[..., 2, 1], J[..., 2, 2]
+    A = f * j - g * i
+    B = -(e * j - g * h)
+    C = e * i - f * h
+    det = a * A + b * B + c * C
+    D = -(b * j - c * i)
+    E = a * j - c * h
+    Fm = -(a * i - b * h)
+    G = b * g - c * f
+    H = -(a * g - c * e)
+    I2 = a * f - b * e
+    x0 = (A * F[..., 0] + D * F[..., 1] + G * F[..., 2]) / det
+    x1 = (B * F[..., 0] + E * F[..., 1] + H * F[..., 2]) / det
+    x2 = (C * F[..., 0] + Fm * F[..., 1] + I2 * F[..., 2]) / det
+    return np.stack([x0, x1, x2], axis=-1)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_solve_small_matches_cramer_bitwise(d):
+    rng = np.random.default_rng(d)
+    J = rng.standard_normal((400, d, d)) + 3.0 * np.eye(d)
+    F = rng.standard_normal((400, d))
+    # entries from {-1, ±0, 1}: many cofactors cancel to ±0, some rows are singular
+    J[:300] = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(300, d, d))
+    F[:150] = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(150, d))
+    J[300] = 1.0  # singular
+    J[301, 0, 1] = np.nan
+    F[302, -1] = np.nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = _cramer(J, F)
+        for lead in ((400,), (20, 20)):
+            got = solve_small(J.reshape(lead + (d, d)), F.reshape(lead + (d,)))
+            assert got.shape == lead + (d,)
+            assert got.tobytes() == want.reshape(got.shape).tobytes(), lead
+        assert solve_small(J[7], F[7]).tobytes() == want[7].tobytes()
+    if d == 3:  # the rows exercise cofactors of -0.0, here B = -(ej - gh)
+        B = -(J[:300, 1, 0] * J[:300, 2, 2] - J[:300, 1, 2] * J[:300, 2, 0])
+        assert np.any((B == 0.0) & np.signbit(B))
+
+
+def test_rgd_map_matches_its_formula_bitwise():
+    sphere = get("rayleigh_sphere").objective
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((500, 3))
+    X /= np.linalg.norm(X, axis=-1, keepdims=True)
+    X[:50] = rng.choice([-1.0, -0.0, 0.0, 1.0], size=(50, 3))
+    g = X @ np.diag([1.0, 2.0, 3.0])
+    rg = g - np.sum(X * g, axis=-1, keepdims=True) * X
+    assert sphere.riemannian_grad(X).tobytes() == rg.tobytes()
+    w = X - 0.3 * rg
+    with np.errstate(invalid="ignore"):
+        want = w / np.linalg.norm(w, axis=-1, keepdims=True)
+        assert sphere.retraction(X, -0.3 * rg).tobytes() == want.tobytes()
+        assert sphere.retraction(X[60], -0.3 * rg[60]).tobytes() == want[60].tobytes()

@@ -148,3 +148,51 @@ def test_nearest_critical():
     fam, d3 = entry3.nearest_critical(np.array([1e-4, -1e-4, 52.0]))
     assert fam.classification == STRICT_SADDLE
     assert d3 == pytest.approx(np.hypot(1e-4, 1e-4))
+
+
+# Each catalogue gradient and Hessian as a formula of its own, in the
+# expressions and operand order the catalogue evaluates
+def _reference_derivatives(key, x):
+    lead = x.shape[:-1]
+    if key == "quad_1d":
+        return x.copy(), np.ones(lead + (1, 1))
+    if key == "quad_saddle":
+        H = np.broadcast_to(np.diag([1.0, -1.0]), lead + (2, 2))
+        return np.stack([x[..., 0], -x[..., 1]], axis=-1), H
+    if key == "double_well":
+        H = np.zeros(lead + (2, 2))
+        H[..., 0, 0] = 3.0 * x[..., 0] ** 2 - 1.0
+        H[..., 1, 1] = 1.0
+        return np.stack([x[..., 0] ** 3 - x[..., 0], x[..., 1]], axis=-1), H
+    if key == "saddle_line":
+        H = np.broadcast_to(np.diag([1.0, -1.0, 0.0]), lead + (3, 3))
+        return np.stack([x[..., 0], -x[..., 1], np.zeros_like(x[..., 2])], axis=-1), H
+    D = np.diag(RAYLEIGH_DIAG)
+    return x @ D.T, np.broadcast_to(D, lead + (3, 3))
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_catalogue_derivatives_match_their_formulas_bitwise(key):
+    entry = get(key)
+    obj = entry.objective.ambient if entry.is_sphere else entry.objective
+    rng = np.random.default_rng(5)
+    X = 3.0 * rng.standard_normal((60, 70, entry.dim))
+    for value, share in ((0.0, 0.1), (-0.0, 0.1), (np.inf, 0.02), (-np.inf, 0.02), (np.nan, 0.02)):
+        X[rng.random(X.shape) < share] = value
+    with np.errstate(invalid="ignore", over="ignore"):
+        for x in (X, X[0], X[0, 0]):
+            g, H = _reference_derivatives(key, x)
+            assert np.asarray(obj.grad(x)).tobytes() == g.tobytes(), x.shape
+            assert np.asarray(obj.hess(x)).tobytes() == np.ascontiguousarray(H).tobytes(), x.shape
+            rg = obj.grad(x)
+            if entry.is_sphere:
+                rg = rg - np.sum(x * rg, axis=-1, keepdims=True) * x
+            norm = np.linalg.norm(rg, axis=-1)
+            assert np.asarray(entry.gradient_norm(x)).tobytes() == norm.tobytes()
+            for s in entry.critical_points:
+                want = (
+                    np.linalg.norm(x[..., :2], axis=-1)
+                    if key == "saddle_line"
+                    else np.linalg.norm(x - s.point, axis=-1)
+                )
+                assert np.asarray(s.distance(x)).tobytes() == want.tobytes()
