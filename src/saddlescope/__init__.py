@@ -14,7 +14,6 @@ from .graphtransform import (
     IncompatibleSplitting,
     NoContraction,
     PHPair,
-    auxiliary_fixed_point,
     compose_phi,
     function_norm,
     graph_transform,
@@ -64,6 +63,6 @@ from .avoidance import (
     monte_carlo_avoidance,
     run_matrix,
 )
-from .testfns import catalogue, get
+from .testfns import get
 
 __version__ = "0.1.0"

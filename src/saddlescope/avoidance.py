@@ -33,7 +33,7 @@ from .dynsys import ACTIVE, DIVERGED, STOP_TOL, TrajectoryRecord
 from .dynsys import evolve_batch as _evolve_batch
 from .optimizers import UNIT_TOL, gd_system, pp_system, rgd_system, tangent_basis
 from .phcert import Schedule, check_admissible, check_box, constant_schedule, is_nonsummable
-from .testfns import MIN, STRICT_SADDLE, CataloguedObjective, get
+from .testfns import DEGENERATE, MAX, MIN, STRICT_SADDLE, CataloguedObjective, get
 
 SADDLE_GRAD_TOL = 1e-8
 SADDLE_DIST_TOL = 1e-3
@@ -96,7 +96,7 @@ VERDICTS = (
     "undecided",
 )
 _MINIMIZER, _SADDLE, _OTHER, _DIVERGED, _UNDECIDED = range(len(VERDICTS))
-_CODE_OF = {MIN: _MINIMIZER, STRICT_SADDLE: _SADDLE, "max": _OTHER, "degenerate": _OTHER}
+_CODE_OF = {MIN: _MINIMIZER, STRICT_SADDLE: _SADDLE, MAX: _OTHER, DEGENERATE: _OTHER}
 
 
 def _classify_rows(entry: CataloguedObjective, X0, ring, steps, status):

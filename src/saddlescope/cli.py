@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import avoidance, graphtransform, phcert, synthetic, testfns
-from .dynsys import STOP_TOL, Splitting, SystemMap, run_trajectory
+from .dynsys import STOP_TOL, Splitting, run_trajectory
 from .graphtransform import (
     GraphFunction,
     IncompatibleSplitting,
@@ -200,15 +200,7 @@ def _preset_chain(name: str, horizon: int):
     if name == "mismatched":
         good = synthetic.split_diagonal_pair()
         sp = Splitting([np.array([0.0, 1.0])], [np.array([1.0, 0.0])])
-        T = np.diag([2.0, 1.0])
-        bad = graphtransform.PHPair(
-            g=SystemMap(evaluate=lambda x: np.asarray(x) @ T.T),
-            T=T,
-            splitting=sp,
-            mu=2.0,
-            lam=1.0,
-            eps=0.1,
-        )
+        bad = graphtransform.PHPair(sp, [[1.0]], [[2.0]], mu=2.0, lam=1.0, eps=0.1)
         return [good, bad] * max(horizon // 2, 1)
     raise ConfigError(f"unknown chain {name!r}; have {_CHAINS}")
 

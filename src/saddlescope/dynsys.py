@@ -85,13 +85,6 @@ class Splitting:
     def coords_u(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x) @ self.basis_u
 
-    def project_cs(self, x: np.ndarray) -> np.ndarray:
-        """Ambient orthogonal projection onto E_cs."""
-        return self.coords_cs(x) @ self.basis_cs.T
-
-    def project_u(self, x: np.ndarray) -> np.ndarray:
-        return self.coords_u(x) @ self.basis_u.T
-
     def embed(self, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Ambient point from factor coordinates y (..., m), z (..., n)."""
         return np.asarray(y) @ self.basis_cs.T + np.asarray(z) @ self.basis_u.T

@@ -2,9 +2,12 @@
 
 Candidate invariant sets are graphs of functions phi: E_cs -> E_u with
 phi(0) = 0 and Lip(phi) <= 1, discretized on a regular lattice with
-multilinear interpolation.  For a pseudo-hyperbolic pair (g, T) the
-transform Gamma maps phi to the function whose graph g carries into
-graph(phi); its value at y is the fixed point of a contraction on E_u.
+multilinear interpolation.  A pseudo-hyperbolic pair is held in the
+splitting coordinates (y, z) of those graphs, as its linear blocks
+A_cs, A_u and a remainder, so g(y, z) = (A_cs y + r_cs, A_u z + r_u).
+The transform Gamma maps phi to the function whose graph g carries into
+graph(phi); its value at y is the fixed point of a contraction on E_u,
+z <- A_u^{-1} (phi(A_cs y + r_cs(y, z)) - r_u(y, z)).
 Iterating the transforms of a non-autonomous sequence right-to-left from
 the zero function builds the center-stable graphs, and the potential
 V_phi(x) = ||p_u(x) - phi(p_cs(x))|| certifies that off-graph points are
@@ -63,8 +66,10 @@ class GraphFunction:
     ):
         if not (1 <= m <= MAX_FACTOR_DIM and 1 <= n <= MAX_FACTOR_DIM):
             raise ValueError(f"factor dims must be in [1, {MAX_FACTOR_DIM}]")
-        if not delta > 0:
-            raise ValueError("delta must be positive")
+        if not (math.isfinite(delta) and delta > 0):
+            raise ValueError("delta must be positive and finite")
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError("radius must be positive and finite")
         steps = radius / delta
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("radius must be an integer multiple of delta")
@@ -205,43 +210,41 @@ def function_norm(phi: GraphFunction) -> float:
 
 @dataclass(frozen=True)
 class PHPair:
-    """A pseudo-hyperbolic pair: nonlinear map g with linearization T.
+    """A pseudo-hyperbolic pair in splitting coordinates.
 
-    T must preserve both factors of the splitting, be mu-expanding on
-    E_u and lam-non-expanding on E_cs, and the remainder g - T must be
-    eps-Lipschitz with eps < (mu - lam)/4 (in the splitting max-norm).
+    The map is g(y, z) = (A_cs y + r_cs(y, z), A_u z + r_u(y, z)) for
+    y in E_cs and z in E_u: its linear part T = diag(A_cs, A_u) is
+    mu-expanding on E_u and lam-non-expanding on E_cs, and the
+    remainder (Y, Z) -> (R_cs, R_u) must be eps-Lipschitz with
+    eps < (mu - lam)/4 in the splitting max-norm.  remainder is None
+    for a linear pair.
     """
 
-    g: SystemMap
-    T: np.ndarray
     splitting: Splitting
+    A_cs: np.ndarray
+    A_u: np.ndarray
     mu: float
     lam: float
     eps: float
+    remainder: Optional[Callable] = None
 
     def __post_init__(self):
-        T = np.asarray(self.T, dtype=float)
-        object.__setattr__(self, "T", T)
-        B_cs, B_u = self.splitting.basis_cs, self.splitting.basis_u
-        A_cs = B_cs.T @ T @ B_cs
-        A_u = B_u.T @ T @ B_u
-        off = max(
-            float(np.max(np.abs(B_u.T @ T @ B_cs), initial=0.0)),
-            float(np.max(np.abs(B_cs.T @ T @ B_u), initial=0.0)),
-        )
-        if off > 1e-10:
-            raise ValueError(f"T does not preserve the splitting (off-block {off:.2e})")
+        m, n = self.splitting.dim_cs, self.splitting.dim_u
+        A_cs = np.asarray(self.A_cs, dtype=float)
+        A_u = np.asarray(self.A_u, dtype=float)
+        if A_cs.shape != (m, m) or A_u.shape != (n, n):
+            raise ValueError(f"need A_cs of shape {(m, m)} and A_u of shape {(n, n)}")
+        object.__setattr__(self, "A_cs", A_cs)
+        object.__setattr__(self, "A_u", A_u)
         su = np.linalg.svd(A_u, compute_uv=False)
         if su.min() < self.mu - 1e-10:
             raise ValueError(
-                f"T|E_u not mu-expanding: sigma_min = {su.min():.6g} < mu = {self.mu}"
+                f"A_u not mu-expanding: sigma_min = {su.min():.6g} < mu = {self.mu}"
             )
         if A_cs.size:
             scs = np.linalg.svd(A_cs, compute_uv=False)
             if scs.max() > self.lam + 1e-10:
-                raise ValueError(
-                    f"T|E_cs not lam-bounded: sigma_max = {scs.max():.6g}"
-                )
+                raise ValueError(f"A_cs not lam-bounded: sigma_max = {scs.max():.6g}")
         if not (self.eps > 0 and self.eps < (self.mu - self.lam) / 4.0):
             raise ValueError("need 0 < eps < (mu - lam)/4")
         object.__setattr__(self, "_A_u_inv", np.linalg.inv(A_u))
@@ -253,6 +256,21 @@ class PHPair:
     @property
     def n(self) -> int:
         return self.splitting.dim_u
+
+    def step(self, Y: np.ndarray, Z: np.ndarray) -> tuple:
+        """g in coordinates: (Y, Z) -> (A_cs Y + R_cs, A_u Z + R_u)."""
+        GY, GZ = Y @ self.A_cs.T, Z @ self.A_u.T
+        if self.remainder is not None:
+            R_cs, R_u = self.remainder(Y, Z)
+            GY += R_cs
+            GZ += R_u
+        return GY, GZ
+
+    @property
+    def g(self) -> SystemMap:
+        """The ambient map x -> embed(step(p_cs x, p_u x))."""
+        sp = self.splitting
+        return SystemMap(lambda x: sp.embed(*self.step(sp.coords_cs(x), sp.coords_u(x))))
 
     def contraction_factor(self) -> float:
         """Lipschitz bound 2 eps / mu of the auxiliary map in z."""
@@ -277,20 +295,19 @@ def _row_norms(D: np.ndarray) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
-def _aux_rhs(pair: PHPair, phi: Callable, Xcs: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """One sweep z <- (T|E_u)^{-1} (phi(g_cs(y,z)) - (g_u - T_u)(y,z)).
+def _aux_rhs(
+    pair: PHPair, phi: Callable, Y: np.ndarray, AY: np.ndarray, Z: np.ndarray
+) -> np.ndarray:
+    """One sweep z <- A_u^{-1} (phi(A_cs y + r_cs(y, z)) - r_u(y, z)).
 
-    Xcs is the E_cs part Y @ basis_cs.T of the embedded points, so the
-    point is Xcs + Z @ basis_u.T, the sum Splitting.embed forms.
+    AY is Y @ A_cs.T, which does not change between sweeps.
     """
-    sp = pair.splitting
-    X = Z @ sp.basis_u.T
-    np.add(Xcs, X, out=X)
-    GX = np.asarray(pair.g.evaluate(X), dtype=float)
-    gcs = sp.coords_cs(GX)
-    gu = sp.coords_u(GX)
-    gu -= sp.coords_u(X @ pair.T.T)
-    return (np.asarray(phi(gcs)) - gu) @ pair._A_u_inv.T
+    if pair.remainder is None:
+        return np.asarray(phi(AY)) @ pair._A_u_inv.T
+    R_cs, R_u = pair.remainder(Y, Z)
+    rhs = np.asarray(phi(AY + R_cs))
+    rhs -= R_u
+    return rhs @ pair._A_u_inv.T
 
 
 def _solve_fixed_points(
@@ -305,18 +322,16 @@ def _solve_fixed_points(
     The contraction factor 2 eps / mu < 1 guarantees geometric
     convergence; successive-step ratios above 1 (measured away from the
     floating-point noise floor) raise NoContraction.
-
-    Y's E_cs part Y @ basis_cs.T is formed once per solve; each sweep
-    adds only Z @ basis_u.T, so the points, and every result, are
-    bit-for-bit those of embedding Y afresh in every sweep.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    Xcs = Y @ pair.splitting.basis_cs.T
+    AY = Y @ pair.A_cs.T
     Z = np.zeros((len(Y), pair.n))
     prev_step = None
     floor = max(10.0 * tol, 1e-12)
     for it in range(FIXED_POINT_MAX_ITER):
-        Znew = _aux_rhs(pair, phi, Xcs, Z)
+        Znew = _aux_rhs(pair, phi, Y, AY, Z)
         step = _row_norms(Znew - Z)
         if prev_step is not None:
             mask = prev_step > floor
@@ -335,16 +350,6 @@ def _solve_fixed_points(
         if float(np.max(step)) <= tol:
             return Z
     raise NoContraction(f"no convergence within {FIXED_POINT_MAX_ITER} iterations")
-
-
-def auxiliary_fixed_point(
-    pair: PHPair, phi: GraphFunction, y: np.ndarray, tol: float
-) -> np.ndarray:
-    """The unique fixed point of the auxiliary contraction at parameter y."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    return _solve_fixed_points(pair, phi, y[None, :], tol)[0]
 
 
 def graph_transform(
@@ -469,16 +474,16 @@ def verify_potential_growth(
     rng = np.random.default_rng(seed)
     Y = rng.uniform(-phi.radius, phi.radius, size=(samples, phi.m))
     Z = rng.uniform(-phi.radius, phi.radius, size=(samples, phi.n))
-    X = pair.splitting.embed(Y, Z)
-    GX = np.asarray(pair.g.evaluate(X), dtype=float)
-    lhs = potential(phi, pair.splitting, GX)
-    rhs = potential(gphi, pair.splitting, X)
+    GY, GZ = pair.step(Y, Z)
+    lhs = _row_norms(GZ - phi(GY))
+    rhs = _row_norms(Z - gphi(Y))
     factor = pair.mu - 2.0 * pair.eps
     slack = phi.delta * 2.0 + tol  # delta * (1 + Lip), Lip <= 1 on the class
-    bad = lhs < factor * rhs - slack
+    bad = np.flatnonzero(lhs < factor * rhs - slack)
+    X = pair.splitting.embed(Y[bad], Z[bad])
     violations = [
-        {"x": X[i].tolist(), "lhs": float(lhs[i]), "rhs": float(factor * rhs[i])}
-        for i in np.flatnonzero(bad)
+        {"x": x.tolist(), "lhs": float(lhs[i]), "rhs": float(factor * rhs[i])}
+        for x, i in zip(X, bad)
     ]
     meaningful = rhs > slack
     min_ratio = (
@@ -522,7 +527,5 @@ def verify_graph_invariance(
             f"phi_k is not the graph transform of phi_k1 (nodal drift {drift:.3e})"
         )
     Y = rng.uniform(-phi_k.radius, phi_k.radius, size=(samples, phi_k.m))
-    X = pair_k.splitting.embed(Y, phi_k(Y))
-    GX = np.asarray(pair_k.g.evaluate(X), dtype=float)
-    resid = _row_norms(pair_k.splitting.coords_u(GX) - phi_k1(pair_k.splitting.coords_cs(GX)))
-    return float(np.max(resid))
+    GY, GZ = pair_k.step(Y, phi_k(Y))
+    return float(np.max(_row_norms(GZ - phi_k1(GY))))

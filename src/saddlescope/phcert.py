@@ -4,7 +4,7 @@ Certifies that a strict saddle is a non-uniformly pseudo-hyperbolic (NPH)
 unstable fixed point for a given step-size schedule: eigensplitting,
 per-step constants (mu_k, lambda_k, eps_k), the admissibility partition,
 non-summability classification, a sampled local Lipschitz radius, and
-bump-function globalization of locally-controlled maps.
+bump-function globalization of locally-controlled remainders.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynsys import Splitting, SystemMap
+from .dynsys import Splitting
 
 LIPSCHITZ_SEED = 0x5ADD1E
 ADMISSIBLE_HORIZON = 100_000  # explicit lists are checked over this prefix
@@ -439,36 +439,31 @@ def bump(x_norm: np.ndarray, r: float) -> np.ndarray:
 
 
 def globalize(
-    system_map: SystemMap,
-    T: np.ndarray,
+    remainder: Callable[[np.ndarray], np.ndarray],
     r: float,
     eps_budget: float,
     splitting: Optional[Splitting] = None,
+    dim: Optional[int] = None,
     seed: int = LIPSCHITZ_SEED,
-) -> SystemMap:
-    """Blend the map into its linearization outside a ball.
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Blend the remainder g - T of a map into zero outside a ball.
 
-    Returns g~ = T x + q(x) (g - T)(x) with the radial bump q, so that
-    g~ = g on B_{r/2} exactly, g~ = T outside B_r exactly, and
-    Lip(g~ - T) <= eps_budget globally whenever
+    Returns x -> q(x) (g - T)(x) with the radial bump q, so that the
+    globalized map g~ = T + q (g - T) is g on B_{r/2} exactly, T outside
+    B_r exactly, and Lip(g~ - T) <= eps_budget globally whenever
     Lip((g - T)|B_r) <= eps_budget/4.  Both Lipschitz conditions are
     verified by sampling GLOBALIZE_PAIRS pairs (in the splitting max-norm
-    when given), the global one on B_{GLOBALIZE_CHECK_FACTOR r}; raises
-    BudgetViolated if either sampled estimate exceeds its bound.
+    when given; dim is needed without one), the global one on
+    B_{GLOBALIZE_CHECK_FACTOR r}; raises BudgetViolated if either sampled
+    estimate exceeds its bound.
     """
-    T = np.asarray(T, dtype=float)
     if splitting is not None:
         norm = splitting.max_norm
-        dim = splitting.dim
     else:
         norm = lambda v: np.linalg.norm(v, axis=-1)
-        dim = T.shape[0]
-
-    def diff(x):
-        return np.asarray(system_map.evaluate(x)) - np.asarray(x) @ T.T
 
     local = sample_lipschitz(
-        diff, r, GLOBALIZE_PAIRS, splitting=splitting, dim=dim, seed=seed
+        remainder, r, GLOBALIZE_PAIRS, splitting=splitting, dim=dim, seed=seed
     )
     if local > eps_budget / 4.0:
         raise BudgetViolated(
@@ -476,22 +471,12 @@ def globalize(
             f"{eps_budget / 4.0:.3e}"
         )
 
-    def evaluate(x):
+    def blended(x):
         x = np.asarray(x, dtype=float)
-        q = bump(norm(x), r)[..., None]
-        gx = np.asarray(system_map.evaluate(x), dtype=float)
-        tx = x @ T.T
-        # exact agreement with g on the inner ball and with T outside,
-        # bitwise; the blend only acts on the transition band
-        return np.where(q == 1.0, gx, np.where(q == 0.0, tx, tx + q * (gx - tx)))
-
-    blended = SystemMap(evaluate)
-
-    def blended_diff(x):
-        return blended.evaluate(x) - np.asarray(x) @ T.T
+        return bump(norm(x), r)[..., None] * np.asarray(remainder(x), dtype=float)
 
     global_lip = sample_lipschitz(
-        blended_diff,
+        blended,
         GLOBALIZE_CHECK_FACTOR * r,
         GLOBALIZE_PAIRS,
         splitting=splitting,

@@ -1,16 +1,17 @@
 """Factories for pseudo-hyperbolic pairs and graph-class members.
 
 Used by the verification harness and the CLI presets: randomized pairs
-with analytically certified constants (the perturbations are sums of
-sine waves whose global Lipschitz constant in the splitting max-norm is
-known in closed form), plus the two hand-built 2-d chains.
+with analytically certified constants (the remainders are sums of sine
+waves whose global Lipschitz constant in the splitting max-norm is known
+in closed form), plus the two hand-built 2-d chains.  Every pair is
+built in splitting coordinates, as its blocks A_cs, A_u and a remainder.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynsys import Splitting, SystemMap
+from .dynsys import Splitting
 from .graphtransform import GraphFunction, PHPair
 from .phcert import globalize
 
@@ -25,20 +26,13 @@ QUADRATIC_COEFF = 0.01  # coefficient of the quadratic terms of perturbed_quadra
 F1_GRAPH_LIP = 0.85  # true Lipschitz constant of random_f1_graph's members
 
 
-def _dual_max_norm(splitting: Splitting, v: np.ndarray) -> float:
-    # dual of max(||.||_cs, ||.||_u) is the sum of the factor norms
-    return float(
-        np.linalg.norm(splitting.coords_cs(v)) + np.linalg.norm(splitting.coords_u(v))
-    )
-
-
 def random_ph_pair(rng: np.random.Generator, m: int, n: int) -> PHPair:
     """A random globally pseudo-hyperbolic pair with certified constants.
 
-    T is built blockwise in a random orthogonal splitting with singular
-    values inside [lam/3, lam] on E_cs and [mu, 1.3 mu] on E_u; eps is
-    drawn strictly below (mu - lam)/4 and the sine perturbation is
-    normalized so its exact global Lipschitz constant (max-norm) is
+    The blocks in a random orthogonal splitting have singular values
+    inside [lam/3, lam] on E_cs and [mu, 1.3 mu] on E_u; eps is drawn
+    strictly below (mu - lam)/4 and the sine remainder is normalized so
+    its exact global Lipschitz constant (max-norm) is
     PAIR_NONLINEARITY * eps < eps.
     """
     d = m + n
@@ -57,37 +51,35 @@ def random_ph_pair(rng: np.random.Generator, m: int, n: int) -> PHPair:
 
     C = random_block(m, lam / 3.0, lam)
     Uu = random_block(n, mu, 1.3 * mu)
-    T = (
-        splitting.basis_cs @ C @ splitting.basis_cs.T
-        + splitting.basis_u @ Uu @ splitting.basis_u.T
-    )
 
-    # perturbation u(x) = sum_i a_i w_i sin(v_i . x); Lip(u) in the
-    # max-norm is exactly sum_i a_i after normalizing w_i to unit
-    # max-norm and v_i to unit dual norm
+    # remainder sum_i a_i w_i sin(v_i . (y, z)), with w_i and v_i drawn
+    # as ambient vectors and held in coordinates; Lip in the max-norm is
+    # exactly sum_i a_i after normalizing w_i to unit max-norm and v_i
+    # to unit dual norm ||v_cs|| + ||v_u||
     terms = []
     budget = PAIR_NONLINEARITY * eps
     weights = rng.dirichlet(np.ones(2)) * budget
     for a in weights:
         w = rng.standard_normal(d)
-        w = w / float(splitting.max_norm(w))
+        w_cs, w_u = splitting.coords_cs(w), splitting.coords_u(w)
+        w_scale = max(np.linalg.norm(w_cs), np.linalg.norm(w_u))
         v = rng.standard_normal(d)
-        v = v / _dual_max_norm(splitting, v)
-        terms.append((float(a), w, v))
+        v_cs, v_u = splitting.coords_cs(v), splitting.coords_u(v)
+        v_scale = np.linalg.norm(v_cs) + np.linalg.norm(v_u)
+        terms.append((float(a), w_cs / w_scale, w_u / w_scale, v_cs / v_scale, v_u / v_scale))
 
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        out = x @ T.T
-        for a, w, v in terms:
-            s = a * np.sin(x @ v)
+    def remainder(Y, Z):
+        R_cs, R_u = np.zeros(np.shape(Y)), np.zeros(np.shape(Z))
+        for a, w_cs, w_u, v_cs, v_u in terms:
+            s = a * np.sin(Y @ v_cs + Z @ v_u)
             # one pass per component: a broadcast over the short last
             # axis is numpy's slow path; each product is the same
-            for j, wj in enumerate(w):
-                out[..., j] += s * wj
-        return out
+            for R, w in ((R_cs, w_cs), (R_u, w_u)):
+                for j, wj in enumerate(w):
+                    R[..., j] += s * wj
+        return R_cs, R_u
 
-    gmap = SystemMap(evaluate)
-    return PHPair(g=gmap, T=T, splitting=splitting, mu=mu, lam=lam, eps=eps)
+    return PHPair(splitting, C, Uu, mu=mu, lam=lam, eps=eps, remainder=remainder)
 
 
 def random_f1_graph(
@@ -122,34 +114,29 @@ def axes_splitting_2d() -> Splitting:
 
 def split_diagonal_pair(lam: float = 1.0, mu: float = 2.0, eps: float = 0.1) -> PHPair:
     """The linear 1-d/1-d pair g = T = diag(lam, mu) on the axes splitting."""
-    T = np.diag([lam, mu])
-    gmap = SystemMap(lambda x: np.asarray(x, dtype=float) @ T.T)
-    return PHPair(g=gmap, T=T, splitting=axes_splitting_2d(), mu=mu, lam=lam, eps=eps)
+    return PHPair(axes_splitting_2d(), [[lam]], [[mu]], mu=mu, lam=lam, eps=eps)
 
 
 def perturbed_quadratic_pair(eps: float = 0.08) -> PHPair:
     """Globalized quadratic perturbation of diag(1, 2) in the plane.
 
-    With c = QUADRATIC_COEFF the raw map g(y, z) = (y + c z^2, 2 z + c y^2)
-    has Lip((g - T)|B_r) = 2 c r in the max-norm, so choosing
+    With c = QUADRATIC_COEFF the raw remainder r(y, z) = (c z^2, c y^2)
+    has Lip(r|B_r) = 2 c r in the max-norm, so choosing
     r = eps / (8 c) meets the local eps/4 budget; the bump blend
     then makes the pair globally pseudo-hyperbolic with constant eps.
     """
-    T = np.diag([1.0, 2.0])
     splitting = axes_splitting_2d()
 
-    def raw(x):
+    def raw(x):  # on the axes splitting a point is its coordinates (y, z)
         x = np.asarray(x, dtype=float)
-        out = x @ T.T
-        out = out + QUADRATIC_COEFF * np.stack([x[..., 1] ** 2, x[..., 0] ** 2], axis=-1)
-        return out
+        return QUADRATIC_COEFF * np.stack([x[..., 1] ** 2, x[..., 0] ** 2], axis=-1)
 
-    r = eps / (8.0 * QUADRATIC_COEFF)
     blended = globalize(
-        SystemMap(raw),
-        T,
-        r=r,
-        eps_budget=eps,
-        splitting=splitting,
+        raw, r=eps / (8.0 * QUADRATIC_COEFF), eps_budget=eps, splitting=splitting
     )
-    return PHPair(g=blended, T=T, splitting=splitting, mu=2.0, lam=1.0, eps=eps)
+
+    def remainder(Y, Z):
+        R = blended(np.concatenate([Y, Z], axis=-1))
+        return R[..., :1], R[..., 1:]
+
+    return PHPair(splitting, [[1.0]], [[2.0]], mu=2.0, lam=1.0, eps=eps, remainder=remainder)

@@ -43,13 +43,9 @@ class CriticalFamily:
     distance_fn: Callable[[np.ndarray], np.ndarray]
     classification: str
     eigenvalues: tuple
-    t_range: tuple = (-10.0, 10.0)
 
     def distance(self, x: np.ndarray) -> np.ndarray:
         return self.distance_fn(np.asarray(x))
-
-
-CriticalSet = Union[CriticalPoint, CriticalFamily]
 
 
 @dataclass(frozen=True)
@@ -229,11 +225,6 @@ _BUILDERS = {
 }
 
 KEYS = tuple(_BUILDERS)
-
-
-def catalogue() -> list:
-    """All benchmark objectives, in registry order."""
-    return [_BUILDERS[k]() for k in KEYS]
 
 
 def get(key: str) -> CataloguedObjective:

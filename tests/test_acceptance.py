@@ -350,9 +350,9 @@ def test_criterion_07_pp_inverse():
 
 def test_criterion_08_globalization():
     t0 = time.perf_counter()
-    T = np.array([[0.9]])
     raw = SystemMap(lambda x: 0.9 * np.asarray(x) + 0.01 * np.asarray(x) ** 2)
-    blended = globalize(raw, T, r=1.0, eps_budget=0.08)
+    remainder = globalize(lambda x: 0.01 * np.asarray(x) ** 2, r=1.0, eps_budget=0.08, dim=1)
+    blended = SystemMap(lambda x: 0.9 * np.asarray(x) + remainder(x))
     grid = np.linspace(-2.0, 2.0, 20_001)[:, None]
     inner = np.abs(grid[:, 0]) <= 0.5
     outer = np.abs(grid[:, 0]) >= 1.0

@@ -666,13 +666,22 @@ _BAD_L = "L must be finite and positive"
           "--trials", "2", "--init-on", "nan,0"], "probe 0 has a non-finite coordinate"),
         ([*_EVOLVE[:-1], "nan,0", "--steps", "5"], "init has a non-finite coordinate"),
         ([*_EVOLVE[:-1], "1,-inf", "--steps", "5"], "init has a non-finite coordinate"),
+        (["graphs", "--tol", "0"], "tol must be positive and finite"),
+        (["graphs", "--tol=-1"], "tol must be positive and finite"),
+        (["graphs", "--tol", "nan"], "tol must be positive and finite"),
+        (["graphs", "--radius", "inf"], "radius must be positive and finite"),
+        (["graphs", "--radius", "0"], "radius must be positive and finite"),
+        (["graphs", "--radius=-1"], "radius must be positive and finite"),
+        (["graphs", "--delta", "inf"], "delta must be positive and finite"),
     ],
     ids=["graphs-horizon-0", "graphs-delta-0", "graphs-radius-0.3", "graphs-samples-0",
          "luzin-samples-0", "luzin-grid-x", "luzin-box-inf", "evolve-steps-0", "avoid-box-inf",
          "avoid-max-steps--5", "avoid-max-steps-0", "certify-L-nan", "certify-L-0",
          "certify-L--1", "certify-L-inf", "certify-empty-list", "avoid-empty-list",
          "evolve-empty-list", "luzin-alpha-inf", "certify-const-inf", "avoid-list-inf",
-         "graphs-max-residual-nan", "avoid-pp-probe-nan", "evolve-init-nan", "evolve-init-inf"],
+         "graphs-max-residual-nan", "avoid-pp-probe-nan", "evolve-init-nan", "evolve-init-inf",
+         "graphs-tol-0", "graphs-tol--1", "graphs-tol-nan", "graphs-radius-inf", "graphs-radius-0",
+         "graphs-radius--1", "graphs-delta-inf"],
 )
 def test_bad_numeric_arguments_are_config_errors(argv, message, capsys, tmp_path):
     steps = tmp_path / "steps.txt"

@@ -168,11 +168,17 @@ def test_projectors_sum_to_identity_and_are_idempotent():
     Q, _ = np.linalg.qr(A)
     sp = Splitting.from_columns(Q[:, :3], Q[:, 3:])
     X = rng.standard_normal((100, 4))
-    np.testing.assert_allclose(sp.project_cs(X) + sp.project_u(X), X, atol=1e-12)
-    np.testing.assert_allclose(
-        sp.project_cs(sp.project_cs(X)), sp.project_cs(X), atol=1e-12
-    )
-    np.testing.assert_allclose(sp.project_u(sp.project_cs(X)), 0.0, atol=1e-12)
+    zero_cs, zero_u = np.zeros((100, 3)), np.zeros((100, 1))
+
+    def project_cs(x):
+        return sp.embed(sp.coords_cs(x), zero_u)
+
+    def project_u(x):
+        return sp.embed(zero_cs, sp.coords_u(x))
+
+    np.testing.assert_allclose(project_cs(X) + project_u(X), X, atol=1e-12)
+    np.testing.assert_allclose(project_cs(project_cs(X)), project_cs(X), atol=1e-12)
+    np.testing.assert_allclose(project_u(project_cs(X)), 0.0, atol=1e-12)
 
 
 def test_splitting_rejects_non_orthonormal():

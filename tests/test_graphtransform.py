@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from saddlescope.dynsys import Splitting, SystemMap
+from saddlescope.dynsys import Splitting
 from saddlescope.graphtransform import (
     GraphFunction,
     IncompatibleSplitting,
     NoContraction,
     PHPair,
-    auxiliary_fixed_point,
+    _solve_fixed_points,
     compose_phi,
     function_norm,
     graph_transform,
@@ -29,20 +29,20 @@ from saddlescope.synthetic import (
 
 def raw_quadratic_pair(coeff=0.01, eps=0.1):
     """Unglobalized (y, z) -> (y + c z^2, 2 z + c y^2); fine near the origin."""
-    T = np.diag([1.0, 2.0])
-
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        return x @ T.T + coeff * np.stack([x[..., 1] ** 2, x[..., 0] ** 2], axis=-1)
-
     return PHPair(
-        g=SystemMap(evaluate=evaluate),
-        T=T,
-        splitting=axes_splitting_2d(),
+        axes_splitting_2d(),
+        [[1.0]],
+        [[2.0]],
         mu=2.0,
         lam=1.0,
         eps=eps,
+        remainder=lambda Y, Z: (coeff * Z**2, coeff * Y**2),
     )
+
+
+def fixed_point(pair, phi, y, tol):
+    """The auxiliary contraction's fixed point at the one parameter y."""
+    return _solve_fixed_points(pair, phi, np.atleast_2d(y), tol)[0]
 
 
 def identity_graph(radius=1.0, delta=1.0 / 64.0):
@@ -109,6 +109,54 @@ def test_graph_function_json():
     assert len(payload["values"]) == 5
 
 
+# --- pairs --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "blocks, constants, message",
+    [
+        (([[1.0]], [[1.5]]), (2.0, 1.0, 0.1), "A_u not mu-expanding"),
+        (([[1.2]], [[2.0]]), (2.0, 1.0, 0.1), "A_cs not lam-bounded"),
+        (([[1.0]], [[2.0]]), (2.0, 1.0, 0.0), "need 0 < eps < (mu - lam)/4"),
+        (([[1.0]], [[2.0]]), (2.0, 1.0, -0.1), "need 0 < eps < (mu - lam)/4"),
+        (([[1.0]], [[2.0]]), (2.0, 1.0, 0.25), "need 0 < eps < (mu - lam)/4"),
+        (([[1.0]], [[2.0]]), (2.0, 1.0, math.nan), "need 0 < eps < (mu - lam)/4"),
+        (([1.0], [[2.0]]), (2.0, 1.0, 0.1), "need A_cs of shape (1, 1)"),
+    ],
+    ids=["A_u-below-mu", "A_cs-above-lam", "eps-0", "eps-negative", "eps-at-gap/4",
+         "eps-nan", "A_cs-not-square"],
+)
+def test_pair_rejects_constants_it_cannot_certify(blocks, constants, message):
+    mu, lam, eps = constants
+    with pytest.raises(ValueError) as err:
+        PHPair(axes_splitting_2d(), *blocks, mu=mu, lam=lam, eps=eps)
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_ph_pair(np.random.default_rng(3), 1, 1),
+        lambda: random_ph_pair(np.random.default_rng(3), 2, 2),
+        split_diagonal_pair,
+        perturbed_quadratic_pair,
+    ],
+    ids=["random-1x1", "random-2x2", "split-diagonal", "perturbed-quadratic"],
+)
+def test_ambient_map_is_the_coordinate_step(make):
+    pair = make()
+    sp = pair.splitting
+    rng = np.random.default_rng(8)
+    Y = rng.uniform(-2.0, 2.0, size=(500, pair.m))
+    Z = rng.uniform(-2.0, 2.0, size=(500, pair.n))
+    np.testing.assert_allclose(
+        pair.g.evaluate(sp.embed(Y, Z)), sp.embed(*pair.step(Y, Z)), rtol=0, atol=1e-14
+    )
+    np.testing.assert_allclose(
+        pair.g.evaluate(sp.embed(Y[0], Z[0])), sp.embed(*pair.step(Y[0], Z[0])), atol=1e-14
+    )
+
+
 # --- the auxiliary contraction ----------------------------------------------
 
 
@@ -116,7 +164,7 @@ def test_auxiliary_fixed_point_linear_zero():
     pair = split_diagonal_pair()
     phi = GraphFunction.zero(1, 1)
     for y in (-0.8, 0.0, 0.3):
-        z = auxiliary_fixed_point(pair, phi, np.array([y]), tol=1e-12)
+        z = fixed_point(pair, phi, np.array([y]), tol=1e-12)
         assert z == pytest.approx(0.0, abs=1e-12)
 
 
@@ -124,7 +172,7 @@ def test_auxiliary_fixed_point_identity_graph_closed_form():
     # h_y(z) = phi(y)/2 = y/2, independent of z
     pair = split_diagonal_pair()
     phi = identity_graph()
-    z = auxiliary_fixed_point(pair, phi, np.array([0.625]), tol=1e-12)
+    z = fixed_point(pair, phi, np.array([0.625]), tol=1e-12)
     assert z[0] == pytest.approx(0.3125, abs=1e-12)
 
 
@@ -132,7 +180,7 @@ def test_auxiliary_fixed_point_quadratic_perturbation():
     # phi = 0: h_y(z) = -(1/2) * 0.01 y^2, independent of z
     pair = raw_quadratic_pair()
     phi = GraphFunction.zero(1, 1)
-    z = auxiliary_fixed_point(pair, phi, np.array([1.0]), tol=1e-14)
+    z = fixed_point(pair, phi, np.array([1.0]), tol=1e-14)
     assert z[0] == pytest.approx(-0.005, abs=1e-14)
 
 
@@ -148,28 +196,18 @@ def test_auxiliary_contraction_ratio_bound():
 
 
 def test_auxiliary_no_contraction_detected():
-    # T claims mu = 2 but the z-nonlinearity has slope 10: certificate lies
-    T = np.diag([1.0, 2.0])
-
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        out = x @ T.T
-        out = out + np.stack(
-            [np.zeros_like(x[..., 0]), 5.0 * np.sin(2.0 * x[..., 1]) + x[..., 0]],
-            axis=-1,
-        )
-        return out
-
+    # A_u claims mu = 2 but the z-remainder has slope 10: certificate lies
     pair = PHPair(
-        g=SystemMap(evaluate=evaluate),
-        T=T,
-        splitting=axes_splitting_2d(),
+        axes_splitting_2d(),
+        [[1.0]],
+        [[2.0]],
         mu=2.0,
         lam=1.0,
         eps=0.2,
+        remainder=lambda Y, Z: (np.zeros_like(Y), 5.0 * np.sin(2.0 * Z) + Y),
     )
     with pytest.raises(NoContraction):
-        auxiliary_fixed_point(pair, GraphFunction.zero(1, 1), np.array([0.5]), 1e-10)
+        fixed_point(pair, GraphFunction.zero(1, 1), np.array([0.5]), 1e-10)
 
 
 def test_parameter_lipschitz_bound():
@@ -183,9 +221,9 @@ def test_parameter_lipschitz_bound():
         Y = rng.uniform(-1, 1, size=(400, 1))
         Y2 = rng.uniform(-1, 1, size=(400, 1))
         z = rng.uniform(-0.5, 0.5, size=(1, 1))
-        Xcs, Xcs2 = Y @ pair.splitting.basis_cs.T, Y2 @ pair.splitting.basis_cs.T
-        H1 = _aux_rhs(pair, phi, Xcs, np.broadcast_to(z, (400, 1)))
-        H2 = _aux_rhs(pair, phi, Xcs2, np.broadcast_to(z, (400, 1)))
+        Z = np.broadcast_to(z, (400, 1))
+        H1 = _aux_rhs(pair, phi, Y, Y @ pair.A_cs.T, Z)
+        H2 = _aux_rhs(pair, phi, Y2, Y2 @ pair.A_cs.T, Z)
         num = np.linalg.norm(H1 - H2, axis=1)
         den = np.linalg.norm(Y - Y2, axis=1)
         keep = den > 1e-9
@@ -285,15 +323,7 @@ def test_compose_horizon_cauchy_bound():
 def test_compose_rejects_mismatched_splittings():
     p1 = split_diagonal_pair()
     sp = Splitting([np.array([0.0, 1.0])], [np.array([1.0, 0.0])])
-    T = np.diag([2.0, 1.0])
-    p2 = PHPair(
-        g=SystemMap(evaluate=lambda x: np.asarray(x) @ T.T),
-        T=T,
-        splitting=sp,
-        mu=2.0,
-        lam=1.0,
-        eps=0.1,
-    )
+    p2 = PHPair(sp, [[1.0]], [[2.0]], mu=2.0, lam=1.0, eps=0.1)
     with pytest.raises(IncompatibleSplitting):
         compose_phi([p1, p2], tol=1e-10)
 
@@ -400,8 +430,9 @@ def test_invariance_rejects_wrong_phi_pair():
 #
 # The references below are the straightforward formulations: corners
 # gathered with a tuple index into the (npts,)*m + (n,) values array,
-# the lattice re-embedded by Splitting.embed in every sweep, norms from
-# np.linalg.norm.  The fast paths must reproduce them bit for bit.
+# A_cs y formed afresh in every sweep, the sine remainder as one
+# broadcast product per term, norms from np.linalg.norm.  The fast paths
+# must reproduce them bit for bit.
 
 
 def reference_interpolate(phi, y):
@@ -430,37 +461,36 @@ def reference_lipschitz_upper(phi):
     return worst
 
 
-def reference_sine_evaluate(pair):
-    """random_ph_pair's map as x T^T + sum_i a_i sin(x . v_i) w_i, one
-    broadcast product per term, from the terms its closure holds."""
-    fn = pair.g.evaluate
+def reference_sine_remainder(pair):
+    """random_ph_pair's remainder as sum_i a_i sin(v_i . (y, z)) w_i in
+    coordinates, one broadcast product per term, from the terms its
+    closure holds."""
+    fn = pair.remainder
     cells = dict(zip(fn.__code__.co_freevars, (c.cell_contents for c in fn.__closure__)))
-    T, terms = cells["T"], cells["terms"]
 
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        out = x @ T.T
-        for a, w, v in terms:
-            out = out + a * np.sin(x @ v)[..., None] * w
-        return out
+    def remainder(Y, Z):
+        R_cs, R_u = np.zeros(np.shape(Y)), np.zeros(np.shape(Z))
+        for a, w_cs, w_u, v_cs, v_u in cells["terms"]:
+            s = a * np.sin(Y @ v_cs + Z @ v_u)[..., None]
+            R_cs = R_cs + s * w_cs
+            R_u = R_u + s * w_u
+        return R_cs, R_u
 
-    return evaluate
+    return remainder
 
 
 def reference_solve(pair, phi, Y, tol, ratio_sink):
     """The fixed-point iteration with every sweep built from scratch."""
-    sp = pair.splitting
-    evaluate = reference_sine_evaluate(pair)
+    remainder = reference_sine_remainder(pair)
+    A_u_inv = np.linalg.inv(pair.A_u)
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     Z = np.zeros((len(Y), pair.n))
     prev_step = None
     floor = max(10.0 * tol, 1e-12)
     while True:
-        X = sp.embed(Y, Z)
-        GX = np.asarray(evaluate(X), dtype=float)
-        Tu = sp.coords_u(X @ pair.T.T)
-        rhs = reference_interpolate(phi, sp.coords_cs(GX)) - (sp.coords_u(GX) - Tu)
-        Znew = rhs @ pair._A_u_inv.T
+        R_cs, R_u = remainder(Y, Z)
+        rhs = reference_interpolate(phi, Y @ pair.A_cs.T + R_cs) - R_u
+        Znew = rhs @ A_u_inv.T
         step = np.linalg.norm(Znew - Z, axis=1)
         if prev_step is not None:
             mask = prev_step > floor
@@ -510,9 +540,12 @@ def test_graph_transform_matches_reference_solve_bitwise(m, n):
     pair = random_ph_pair(rng, m, n)
     delta = 1.0 / 64.0 if m == 1 else 1.0 / 16.0
     tol = 1e-10
-    X = rng.uniform(-2.0, 2.0, size=(50, m + n))
-    assert same_bits(pair.g.evaluate(X), reference_sine_evaluate(pair)(X))
-    assert same_bits(pair.g.evaluate(X[0]), reference_sine_evaluate(pair)(X[0]))
+    Y = rng.uniform(-2.0, 2.0, size=(50, m))
+    Z = rng.uniform(-2.0, 2.0, size=(50, n))
+    for got, ref in zip(pair.remainder(Y, Z), reference_sine_remainder(pair)(Y, Z)):
+        assert same_bits(got, ref)
+    for got, ref in zip(pair.remainder(Y[0], Z[0]), reference_sine_remainder(pair)(Y[0], Z[0])):
+        assert same_bits(got, ref)
     for phi in (GraphFunction.zero(m, n, 1.0, delta), random_f1_graph(rng, m, n, delta=delta)):
         sink, ref_sink = [], []
         out = graph_transform(pair, phi, tol, ratio_sink=sink)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saddlescope.dynsys import Splitting, SystemMap
+from saddlescope.dynsys import Splitting
 from saddlescope.phcert import (
     _symmetric_norm,
     BudgetViolated,
@@ -415,37 +415,31 @@ def test_bump_values():
 
 
 def test_globalize_linear_map_unchanged():
-    T = np.array([[0.9]])
-    gmap = SystemMap(lambda x: 0.9 * np.asarray(x))
-    blended = globalize(gmap, T, r=1.0, eps_budget=0.1)
+    # a zero remainder stays zero: the globalized map is T itself
+    blended = globalize(lambda x: np.zeros_like(x), r=1.0, eps_budget=0.1, dim=1)
     X = np.linspace(-3, 3, 101)[:, None]
-    np.testing.assert_allclose(blended.evaluate(X), 0.9 * X, atol=0)
+    np.testing.assert_allclose(0.9 * X + blended(X), 0.9 * X, atol=0)
 
 
 def test_globalize_1d_quadratic_perturbation():
     # g = 0.9 x + 0.01 x^2, T = 0.9, r = 1: Lip((g-T)|B_1) = 0.02 <= budget/4
-    T = np.array([[0.9]])
-    gmap = SystemMap(lambda x: 0.9 * np.asarray(x) + 0.01 * np.asarray(x) ** 2)
-    blended = globalize(gmap, T, r=1.0, eps_budget=0.08)
+    remainder = lambda x: 0.01 * np.asarray(x) ** 2
+    blended = globalize(remainder, r=1.0, eps_budget=0.08, dim=1)
     grid = np.linspace(-2.0, 2.0, 10_001)[:, None]
     inner = np.abs(grid[:, 0]) <= 0.5
     outer = np.abs(grid[:, 0]) >= 1.0
-    np.testing.assert_array_equal(
-        blended.evaluate(grid[inner]), gmap.evaluate(grid[inner])
-    )
-    np.testing.assert_array_equal(blended.evaluate(grid[outer]), 0.9 * grid[outer])
+    np.testing.assert_array_equal(blended(grid[inner]), remainder(grid[inner]))
+    np.testing.assert_array_equal(blended(grid[outer]), 0.0)
     # finite-difference Lipschitz oracle on the dense grid
-    vals = blended.evaluate(grid)[:, 0] - 0.9 * grid[:, 0]
+    vals = blended(grid)[:, 0]
     slopes = np.abs(np.diff(vals)) / np.abs(np.diff(grid[:, 0]))
     assert np.max(slopes) <= 0.08
     assert np.all(vals[np.abs(grid[:, 0]) >= 1.0] == 0.0)
 
 
 def test_globalize_rejects_overbudget_map():
-    T = np.array([[1.0]])
-    gmap = SystemMap(lambda x: np.asarray(x) + 0.5 * np.asarray(x) ** 2)
     with pytest.raises(BudgetViolated):
-        globalize(gmap, T, r=1.0, eps_budget=0.1)
+        globalize(lambda x: 0.5 * np.asarray(x) ** 2, r=1.0, eps_budget=0.1, dim=1)
 
 
 # --- certificates -----------------------------------------------------------
@@ -638,8 +632,9 @@ def test_gd_certificate_spectral_bounds_random_hessians(seed):
     for k in ks[:: max(1, len(ks) // 20)]:
         alpha = float(cert.alpha(int(k)))
         Tk = np.eye(4) - alpha * H
-        Y = cert.splitting.project_cs(rng.standard_normal((100, 4)))
-        Z = cert.splitting.project_u(rng.standard_normal((100, 4)))
+        B_cs, B_u = cert.splitting.basis_cs, cert.splitting.basis_u
+        Y = rng.standard_normal((100, 4)) @ B_cs @ B_cs.T  # orthogonal projections
+        Z = rng.standard_normal((100, 4)) @ B_u @ B_u.T
         lam = float(cert.lam(int(k)))
         mu = float(cert.mu(int(k)))
         ny = np.linalg.norm(Y @ Tk.T, axis=1)

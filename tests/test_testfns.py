@@ -7,7 +7,6 @@ from saddlescope.testfns import (
     RAYLEIGH_DIAG,
     STRICT_SADDLE,
     CataloguedObjective,
-    catalogue,
     get,
 )
 
@@ -30,17 +29,17 @@ def test_catalogue_keys():
         "rayleigh_sphere",
         "quad_1d",
     )
-    assert [c.key for c in catalogue()] == list(KEYS)
+    assert [get(k).key for k in KEYS] == list(KEYS)
     with pytest.raises(KeyError):
         get("rosenbrock")
 
 
 def test_gradients_vanish_at_critical_points():
     rng = np.random.default_rng(0)
-    for entry in catalogue():
+    for entry in map(get, KEYS):
         for cp in entry.critical_points:
             if hasattr(cp, "sample"):
-                ts = rng.uniform(*cp.t_range, size=100)
+                ts = rng.uniform(-10.0, 10.0, size=100)
                 pts = cp.sample(ts)
             else:
                 pts = cp.point[None, :]
@@ -62,7 +61,7 @@ def test_saddle_line_gradient_z_independent():
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(1)
-    for entry in catalogue():
+    for entry in map(get, KEYS):
         obj = entry.objective.ambient if entry.is_sphere else entry.objective
         for _ in range(5):
             x = rng.uniform(-1.5, 1.5, size=obj.dim)
@@ -73,7 +72,7 @@ def test_gradient_matches_finite_differences():
 
 def test_hessian_matches_gradient_differences():
     rng = np.random.default_rng(2)
-    for entry in catalogue():
+    for entry in map(get, KEYS):
         obj = entry.objective.ambient if entry.is_sphere else entry.objective
         for _ in range(5):
             x = rng.uniform(-1.5, 1.5, size=obj.dim)
@@ -89,7 +88,7 @@ def test_hessian_matches_gradient_differences():
 
 
 def test_listed_eigenvalues_match_spectra():
-    for entry in catalogue():
+    for entry in map(get, KEYS):
         for cp in entry.critical_points:
             if hasattr(cp, "sample"):
                 point = cp.sample(np.array(0.7))
@@ -123,7 +122,7 @@ def test_rayleigh_saddle_spectrum():
 
 
 def test_strict_saddles_numerically_strict():
-    for entry in catalogue():
+    for entry in map(get, KEYS):
         for cp in entry.critical_points:
             if cp.classification == STRICT_SADDLE:
                 assert min(cp.eigenvalues) <= -1e-6

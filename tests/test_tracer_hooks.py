@@ -19,3 +19,31 @@ def test_benchmark_tracer_installs():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_graph_transforms_are_counted():
+    # spans.layer_metrics counts a transform's sweeps as the _aux_rhs
+    # calls made inside it, so _aux_rhs must stay one module-level call
+    # per sweep; a pair maker and globalize must stay traced too
+    code = (
+        "import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]\n"
+        "import numpy as np, spans\n"
+        "tracer = spans.Tracer(); spans.install(tracer)\n"
+        "from saddlescope import cli, graphtransform, synthetic\n"
+        "argv = ['graphs', '--chain', 'perturbed', '--horizon', '2', '--samples', '200']\n"
+        "assert cli.main(argv) == 0\n"
+        "pair = synthetic.random_ph_pair(np.random.default_rng(0), 2, 1)\n"
+        "phi = graphtransform.GraphFunction.zero(2, 1, 1.0, 1.0 / 16.0)\n"
+        "graphtransform.graph_transform(pair, phi, 1e-9)\n"
+        "m = spans.layer_metrics(tracer.arrays(), [])\n"
+        "for key in ('graphtransform.sweeps_per_transform.1x1',\n"
+        "            'graphtransform.sweeps_per_transform.2x1',\n"
+        "            'synthetic.pair_ms', 'phcert.globalize_ms'):\n"
+        "    assert m[key] > 0, (key, m[key])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "src"), str(ROOT / "bench")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
