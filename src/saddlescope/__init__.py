@@ -17,7 +17,6 @@ from .graphtransform import (
     compose_phi,
     function_norm,
     graph_transform,
-    potential,
     verify_graph_invariance,
     verify_potential_growth,
 )

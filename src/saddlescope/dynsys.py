@@ -7,8 +7,11 @@ both a single point of shape (d,) and a batch of shape (N, d).
 
 One stepping engine, evolve_batch, iterates a batch of rows with
 per-row stop and divergence rules; an exception raised by a map ends
-the whole call.  The stop rule (STOP_WINDOW steps below STOP_TOL) and
-the tail ring (the last STOP_WINDOW states) are the engine's own, so
+the whole call.  It steps the rows in blocks of up to STOP_WINDOW
+steps, checks each step with a cheap divergence guard and tests the
+stop rule once per block, with the outputs of a check after every
+step.  The stop rule (STOP_WINDOW steps below STOP_TOL) and the tail
+ring (the last STOP_WINDOW states) are the engine's own, so
 run_trajectory, a one-row call that also keeps a sampled history, and
 the Monte Carlo cells, which run every trial and probe as a row, stop
 and keep tails alike.
@@ -162,6 +165,9 @@ def _row_sumsq(X: np.ndarray) -> np.ndarray:
 
 
 ACTIVE, STOPPED, DIVERGED = 0, 1, 2  # row status codes
+# a block of n rows in d dimensions has at most max(1, BLOCK_ENTRIES // (n d))
+# steps, so the arrays of a big batch's block stay small
+BLOCK_ENTRIES = 8192
 
 
 def evolve_batch(
@@ -181,6 +187,19 @@ def evolve_batch(
     raised by a map propagates.  The gd, rgd and pp maps act row by row,
     so a row's iterates are bitwise those of a one-row run, whatever
     else shares the batch.
+
+    The rows advance in blocks of J = min(STOP_WINDOW - max(run), steps
+    left, max(1, BLOCK_ENTRIES // (n d))) steps, where run counts a row's
+    trailing small steps and n its active rows, so no run can reach
+    STOP_WINDOW before a block's last step.  After each step one guard,
+    max |x_ij| <= DIVERGENCE_RADIUS / sqrt(d) (1 - 1e-12), proves every
+    norm within the radius (the margin covers the rounding of the d
+    squares and their sum); when it fails, the block ends there and the
+    exact norm rule runs, so a diverged row is never fed to a map again.
+    At a block's end the displacements of all its steps give the runs,
+    and the stopped and diverged rows leave at the step they would leave
+    if the rule were tested after every step: the outputs and the
+    sequence of map calls are those of a per-step check, bit for bit.
 
     Returns (ring, steps, status, history): ring[k % STOP_WINDOW, i] is
     x_k of row i over its last STOP_WINDOW steps (read it with tail_of),
@@ -203,38 +222,69 @@ def evolve_batch(
         n_hist += max_steps // store_stride - store_cap // store_stride
     history = np.full((n_hist, N, d), np.nan)
     history[0] = Xa
-    h = 0
+    guard = DIVERGENCE_RADIUS / math.sqrt(d) * (1.0 - 1e-12)
+    # every block's states are a prefix view (J + 1, n, d) of one buffer;
+    # (J + 1) n d is at most max(n d, BLOCK_ENTRIES) + n d
+    buf = np.empty(min((min(STOP_WINDOW, max_steps) + 1) * N * d, BLOCK_ENTRIES + 2 * N * d))
     # Xa, idx and run hold the active rows only; they are re-gathered
     # when a row leaves, and until then every write is a plain slice
     idx, rows = np.arange(N), slice(None)
     run = np.zeros(N, dtype=int)  # consecutive steps below stop_tol
     top = 0  # max(run)
-    for k in range(max_steps):
-        X1 = np.asarray(system.map_at(k).evaluate(Xa), dtype=float)
-        k1 = k + 1
-        ring[k1 % STOP_WINDOW, rows] = X1
-        if k1 <= store_cap or (store_stride and k1 % store_stride == 0):
-            h += 1
-            history[h, rows] = X1
-        D = X1 - Xa
-        small = np.sqrt(_row_sumsq(D)) < stop_tol
+    k = 0
+    while k < max_steps:
+        n = idx.size
+        J = min(STOP_WINDOW - top, max_steps - k, max(1, BLOCK_ENTRIES // (n * d)))
+        B = buf[: (J + 1) * n * d].reshape(J + 1, n, d)
+        B[0] = Xa
+        tripped = False
+        for j in range(1, J + 1):
+            Xa = np.asarray(system.map_at(k + j - 1).evaluate(Xa), dtype=float)
+            B[j] = Xa
+            # a NaN fails the guard too
+            if not np.maximum.reduce(np.abs(Xa), axis=None) <= guard:
+                tripped = True
+                break
+        S = B[: j + 1]
+        small = np.sqrt(_row_sumsq(S[1:] - S[:-1])) < stop_tol  # (j, n)
         if top or np.count_nonzero(small):
-            run = np.where(small, run + 1, 0)
-            top = np.maximum.reduce(run)
-        sq = _row_sumsq(X1)
-        # max(norm) <= R, as sqrt is monotone; a NaN norm fails it
-        if not math.sqrt(np.maximum.reduce(sq)) <= DIVERGENCE_RADIUS or top >= STOP_WINDOW:
+            if j == 1:  # the per-step rule, cheaper than the block rule on many rows
+                run = np.where(small[0], run + 1, 0)
+            else:
+                # a row's trailing small steps, or its run carried on when
+                # every step was small
+                tail = np.argmin(small[::-1], axis=0)
+                run = np.where(np.logical_and.reduce(small, axis=0), run + j, tail)
+            top = int(np.maximum.reduce(run))
+        p = (k + 1) % STOP_WINDOW  # ring slot of x_{k+1}; the block wraps at most once
+        a = min(j, STOP_WINDOW - p)
+        ring[p : p + a, rows] = S[1 : a + 1]
+        if a < j:
+            ring[: j - a, rows] = S[a + 1 :]
+        if k < store_cap:
+            c = min(j, store_cap - k)
+            history[k + 1 : k + 1 + c, rows] = S[1 : c + 1]
+        if store_stride:
+            first = max(k, store_cap) // store_stride + 1  # x_{first * stride} is the next kept
+            c = (k + j) // store_stride - first + 1
+            if c > 0:
+                h = store_cap + first - store_cap // store_stride
+                history[h : h + c, rows] = S[first * store_stride - k :: store_stride]
+        k += j
+        # norm <= R is the exact rule; a NaN norm fails it
+        bad = ~(np.sqrt(_row_sumsq(Xa)) <= DIVERGENCE_RADIUS) if tripped else None
+        if top >= STOP_WINDOW or (tripped and np.count_nonzero(bad)):
             stop = run >= STOP_WINDOW
-            bad = ~(np.sqrt(sq) <= DIVERGENCE_RADIUS)
+            leave = stop
             status[idx[stop]] = STOPPED
-            status[idx[bad]] = DIVERGED  # a blow-up wins over a stop
-            leave = stop | bad
-            steps[idx[leave]] = k1
-            idx, rows, X1, run = idx[~leave], idx[~leave], X1[~leave], run[~leave]
+            if tripped:
+                status[idx[bad]] = DIVERGED  # a blow-up wins over a stop
+                leave = stop | bad
+            steps[idx[leave]] = k
+            idx, rows, Xa, run = idx[~leave], idx[~leave], Xa[~leave], run[~leave]
             if not idx.size:
                 break
-            top = np.maximum.reduce(run)
-        Xa = X1
+            top = int(np.maximum.reduce(run))
     return ring, steps, status, history
 
 

@@ -423,13 +423,6 @@ def compose_phi(
     return chain
 
 
-def potential(phi: GraphFunction, splitting: Splitting, x: np.ndarray) -> np.ndarray:
-    """Deviation ||p_u(x) - phi(p_cs(x))|| of x from the graph of phi."""
-    z = splitting.coords_u(x)
-    y = splitting.coords_cs(x)
-    return np.sqrt(_row_sumsq(z - phi(y)))  # x may be one point
-
-
 @dataclass
 class PotentialGrowthReport:
     samples: int

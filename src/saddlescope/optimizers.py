@@ -10,6 +10,7 @@ All objective callables are vectorized over leading axes: f maps
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -197,6 +198,14 @@ _ROUNDING_FLOOR = 8.0 * np.finfo(float).eps  # relative residual floor of z + a 
 PROX_MAX_ITER = 100  # Newton updates before InnerSolveFailed
 
 
+@functools.lru_cache(maxsize=8)
+def _identity(d: int) -> np.ndarray:
+    """The d x d identity, built once per dimension and read-only."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return eye
+
+
 def prox_solve(
     objective: Objective,
     alpha: float,
@@ -214,7 +223,7 @@ def prox_solve(
     """
     X = np.asarray(X, dtype=float)
     Z = X.copy()
-    eye = np.eye(X.shape[-1])
+    eye = _identity(X.shape[-1])
     # row norms from dynsys._row_sumsq, the bits of np.linalg.norm
     tol = np.maximum(inner_tol, _ROUNDING_FLOOR * np.sqrt(_row_sumsq(X)))
     for _ in range(PROX_MAX_ITER + 1):

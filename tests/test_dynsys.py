@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -247,3 +248,167 @@ def test_row_sumsq_matches_add_reduce_bitwise(d):
             got = dynsys._row_sumsq(X)
         assert np.shape(got) == want.shape
         assert np.asarray(got).tobytes() == want.tobytes(), (d, shape)
+
+
+# --- the blocked engine against a per-step reference -----------------------
+
+
+def _per_step_evolve_batch(system, X0, max_steps, stop_tol, store_cap=0, store_stride=0):
+    """The reference engine: the stop and divergence rules tested after every step."""
+    W, R = dynsys.STOP_WINDOW, dynsys.DIVERGENCE_RADIUS
+    row_sumsq = dynsys._row_sumsq
+    Xa = np.array(X0, dtype=float)
+    N, d = Xa.shape
+    steps = np.full(N, max_steps)
+    status = np.full(N, dynsys.ACTIVE)
+    ring = np.full((W, N, d), np.nan)
+    ring[0] = Xa
+    n_hist = min(max_steps, store_cap) + 1
+    if store_stride and max_steps > store_cap:
+        n_hist += max_steps // store_stride - store_cap // store_stride
+    history = np.full((n_hist, N, d), np.nan)
+    history[0] = Xa
+    h = 0
+    idx, rows = np.arange(N), slice(None)
+    run = np.zeros(N, dtype=int)
+    top = 0
+    for k in range(max_steps):
+        X1 = np.asarray(system.map_at(k).evaluate(Xa), dtype=float)
+        k1 = k + 1
+        ring[k1 % W, rows] = X1
+        if k1 <= store_cap or (store_stride and k1 % store_stride == 0):
+            h += 1
+            history[h, rows] = X1
+        D = X1 - Xa
+        small = np.sqrt(row_sumsq(D)) < stop_tol
+        if top or np.count_nonzero(small):
+            run = np.where(small, run + 1, 0)
+            top = np.maximum.reduce(run)
+        sq = row_sumsq(X1)
+        if not math.sqrt(np.maximum.reduce(sq)) <= R or top >= W:
+            stop = run >= W
+            bad = ~(np.sqrt(sq) <= R)
+            status[idx[stop]] = dynsys.STOPPED
+            status[idx[bad]] = dynsys.DIVERGED
+            leave = stop | bad
+            steps[idx[leave]] = k1
+            idx, rows, X1, run = idx[~leave], idx[~leave], X1[~leave], run[~leave]
+            if not idx.size:
+                break
+            top = np.maximum.reduce(run)
+        Xa = X1
+    return ring, steps, status, history
+
+
+def _scripted_system(d, calls):
+    """Rows follow scripts keyed by a tag kept, unchanged, in the last coordinate.
+
+    Scripts (tag % 9): halve towards 0; move by 1 until a step, then stay
+    put; triple until the norm passes the radius; turn NaN, +inf or -inf
+    at a step; sit between R/sqrt(d) and R, moving by 1 until a step;
+    take runs of small steps of a tag-dependent length between big ones;
+    at a step, jump past the radius in one coordinate (odd tags) or set
+    every coordinate to 0.8 R (even tags: past the radius for d > 2).  Each call's step
+    index and row tags are appended to calls.
+    """
+    R = dynsys.DIVERGENCE_RADIUS
+
+    def map_at(k):
+        def evaluate(X):
+            X = np.array(X, dtype=float)
+            tag = X[:, -1].astype(int)
+            calls.append((k, tuple(tag.tolist())))
+            kind, at = tag % 9, (7 * tag) % 173
+            x = X[:, :-1]
+            new = np.select(
+                [
+                    kind[:, None] == 0,
+                    (kind[:, None] == 1) & (k < at[:, None]),
+                    kind[:, None] == 1,
+                    kind[:, None] == 2,
+                    (kind[:, None] >= 3) & (kind[:, None] <= 5) & (k == at[:, None]),
+                    (kind[:, None] == 6) & (k < at[:, None]),
+                    kind[:, None] == 6,
+                    (kind[:, None] == 7) & ((k % (40 + tag[:, None] % 50)) == 0),
+                    kind[:, None] == 7,
+                    (kind[:, None] == 8) & (k == at[:, None]),
+                ],
+                [
+                    x * 0.5,
+                    x + 1.0,
+                    x,
+                    x * 3.0,
+                    np.choose((kind[:, None] - 3) % 3, [np.nan, np.inf, -np.inf]) + 0 * x,
+                    x + (-1.0) ** k,
+                    x,
+                    x + 1.0,
+                    x + 1e-14,
+                    np.where(tag[:, None] % 2, x + 2.0 * R, 0.8 * R),
+                ],
+                default=x + 0.25,
+            )
+            X[:, :-1] = new
+            return X
+
+        return SystemMap(evaluate)
+
+    return NonAutonomousSystem(map_at, d)
+
+
+def _scripted_starts(rng, N, d):
+    X = rng.uniform(-2.0, 2.0, (N, d))
+    tag = np.arange(N)
+    X[:, -1] = tag
+    kind = tag % 9
+    parked = dynsys.DIVERGENCE_RADIUS * 0.9 / np.sqrt(max(d - 1, 1))
+    X[kind == 6, :-1] = parked  # above R / sqrt(d) in every coordinate, below R in norm
+    X[kind == 2, 0] = 10.0 ** rng.uniform(0, 7, np.count_nonzero(kind == 2))
+    return X
+
+
+@pytest.mark.parametrize(
+    "N, d, max_steps",
+    [(1, 2, 400), (64, 2, 400), (3000, 2, 260), (64, 3, 300), (200, 2, 61), (30, 2, 1)],
+)
+def test_evolve_batch_matches_per_step_reference_bitwise(N, d, max_steps):
+    rng = np.random.default_rng(N + d + max_steps)
+    combos = [(0, 0), (0, 1), (1, 0), (7, 3), (59, 60), (60, 7), (61, 100), (150, 1), (5, 2)]
+    combos += [(max_steps + 5, 7), (max_steps, 0)]
+    for store_cap, store_stride in combos:
+        for tags in ([0], [6], [1, 6], None) if N == 1 else (None,):
+            X0 = _scripted_starts(rng, N, d)
+            if tags is not None:
+                X0[:, -1] = tags[store_cap % len(tags)]
+                if X0[0, -1] == 6:
+                    X0[0, :-1] = dynsys.DIVERGENCE_RADIUS * 0.9 / np.sqrt(max(d - 1, 1))
+            got_calls, want_calls = [], []
+            args = (max_steps, 1e-12, store_cap, store_stride)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = dynsys.evolve_batch(_scripted_system(d, got_calls), X0, *args)
+                want = _per_step_evolve_batch(_scripted_system(d, want_calls), X0, *args)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (store_cap, store_stride)
+            assert got_calls == want_calls
+
+
+def test_scripted_rows_cover_every_way_to_leave():
+    # the cases the bitwise check relies on: stops after runs carried
+    # across blocks and at staggered steps, parked rows that fail the
+    # guard every step yet stay, and NaN, +-inf and finite blow-ups
+    N, d, W, R = 64, 3, dynsys.STOP_WINDOW, dynsys.DIVERGENCE_RADIUS
+    X0 = _scripted_starts(np.random.default_rng(0), N, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ring, steps, status, _ = dynsys.evolve_batch(_scripted_system(d, []), X0, 400, 1e-12)
+    kind = np.arange(N) % 9
+    final = ring[steps % W, np.arange(N), 0]
+    assert np.all(status[np.isin(kind, [0, 1, 6])] == dynsys.STOPPED)
+    assert np.all(status[np.isin(kind, [2, 3, 4, 5, 8])] == dynsys.DIVERGED)
+    assert set(status[kind == 7]) == {dynsys.ACTIVE, dynsys.STOPPED}
+    assert len(set(steps[status == dynsys.STOPPED] % W)) > 10
+    parked = kind == 6
+    assert np.all(X0[parked, 0] > R / np.sqrt(d))
+    assert np.all(np.linalg.norm(ring[steps[parked] % W, np.flatnonzero(parked)], axis=1) < R)
+    assert np.isnan(final[kind == 3]).all()
+    assert (final[kind == 4] == np.inf).all() and (final[kind == 5] == -np.inf).all()
+    jumped = np.isfinite(final) & (kind == 8)
+    assert np.all(jumped == (kind == 8)) and set(final[jumped] < R) == {True, False}

@@ -14,7 +14,6 @@ from saddlescope.graphtransform import (
     compose_phi,
     function_norm,
     graph_transform,
-    potential,
     verify_graph_invariance,
     verify_potential_growth,
 )
@@ -339,19 +338,23 @@ def test_compose_chain_consecutive_transforms():
 # --- the potential -----------------------------------------------------------
 
 
+def _deviation(phi, splitting, X):
+    """The potential V_phi(x) = ||p_u(x) - phi(p_cs(x))||, from the coordinates."""
+    return np.linalg.norm(splitting.coords_u(X) - phi(splitting.coords_cs(X)), axis=-1)
+
+
 def test_potential_values():
     sp = axes_splitting_2d()
     phi = identity_graph()
     half = phi.like(phi.values / 2.0)
     # on the graph
-    assert potential(half, sp, np.array([0.5, 0.25])) == pytest.approx(0.0, abs=1e-15)
+    assert _deviation(half, sp, np.array([0.5, 0.25])) == pytest.approx(0.0, abs=1e-15)
     # phi = 0: V(x) = |z|
-    assert potential(GraphFunction.zero(1, 1), sp, np.array([0.3, -0.7])) == (
+    assert _deviation(GraphFunction.zero(1, 1), sp, np.array([0.3, -0.7])) == (
         pytest.approx(0.7)
     )
-    # phi(y) = y/2 at x = (2, 0.5): |0.5 - 1| (phi clamps at y = 1 -> 0.5)...
-    # inside the box instead: x = (0.8, 0.5) -> |0.5 - 0.4|
-    assert potential(half, sp, np.array([0.8, 0.5])) == pytest.approx(0.1)
+    # inside the box: x = (0.8, 0.5) -> |0.5 - 0.4|
+    assert _deviation(half, sp, np.array([0.8, 0.5])) == pytest.approx(0.1)
 
 
 def test_potential_growth_linear_ratio_two():
@@ -368,8 +371,8 @@ def test_potential_growth_on_graph_points():
     Y = np.linspace(-0.9, 0.9, 33)[:, None]
     X = pair.splitting.embed(Y, gphi(Y))
     GX = pair.g.evaluate(X)
-    lhs = potential(phi, pair.splitting, GX)
-    rhs = potential(gphi, pair.splitting, X)
+    lhs = _deviation(phi, pair.splitting, GX)
+    rhs = _deviation(gphi, pair.splitting, X)
     # x on graph(Gamma phi): the right side is ~0 and the left dominates
     assert np.max(rhs) < 1e-9
     assert np.all(lhs >= (pair.mu - 2 * pair.eps) * rhs - 1e-9)
