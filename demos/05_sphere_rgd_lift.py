@@ -4,16 +4,18 @@
 Minimizing the Rayleigh quotient of diag(1, 2, 3) on the unit sphere:
 minima at +-e1, strict saddles at +-e2, maxima at +-e3.  At the saddle
 e2 we conjugate the dynamics into the tangent plane with the sphere's
-exponential/logarithm (the log smoothly cut off at half the injectivity
-radius).  The lifted linearization is I - alpha * Hess, with the
-Riemannian Hessian spectrum {1-2, 3-2} = {-1, +1}: one contracting and
-one expanding direction, the signature of a strict saddle.
+exponential/logarithm, on the chart of radius pi/2 (half the injectivity
+radius; an iterate beyond it raises OutsideChart).  The Riemannian
+Hessian is the Hessian of the pullback f(exp_e2(v)) at v = 0, with
+spectrum {1-2, 3-2} = {-1, +1}, and the lifted linearization is
+I - alpha * Hess: one contracting and one expanding direction, the
+signature of a strict saddle.
 """
 
 import numpy as np
 
 from saddlescope import monte_carlo_avoidance, run_trajectory
-from saddlescope.optimizers import lift_to_tangent, rgd_system
+from saddlescope.optimizers import lift_to_tangent, pullback_hessian, rgd_system
 from saddlescope.phcert import constant_schedule
 from saddlescope.testfns import get
 
@@ -23,7 +25,7 @@ system = rgd_system(entry.objective, constant_schedule(alpha))
 
 base = np.array([0.0, 1.0, 0.0])
 print("Riemannian Hessian at the saddle e2 (tangent coordinates):")
-M = entry.objective.riemannian_hessian(base)
+M = pullback_hessian(entry.objective, base)(np.zeros(2))
 print(M)
 
 lifted = lift_to_tangent(entry.objective, base, system)

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynsys import ACTIVE, DIVERGED, STOP_TOL, TrajectoryRecord
+from .dynsys import ACTIVE, DIVERGED, STOP_TOL, TrajectoryRecord, _row_norms
 from .dynsys import evolve_batch as _evolve_batch
 from .optimizers import UNIT_TOL, gd_system, pp_system, rgd_system, tangent_basis
 from .phcert import Schedule, check_admissible, check_box, constant_schedule, is_nonsummable
@@ -536,7 +536,7 @@ def luzin_scan(
         )
         if entry.is_sphere:
             X = rng.standard_normal((x_samples, d))
-            X /= np.linalg.norm(X, axis=1, keepdims=True)
+            X /= _row_norms(X)[:, None]
         else:
             X = rng.uniform(-box, box, size=(x_samples, d))
         J = g.jacobian(X)

@@ -138,14 +138,12 @@ def saddle_certificates(entry, algorithm: str, schedule: Schedule, L=None, box=2
     for cp in saddles:
         point = cp.sample(np.array(0.0)) if hasattr(cp, "sample") else cp.point
         if entry.is_sphere:
-            base = point
-            # the Riemannian Hessian gives the splitting and constants; the
-            # radius is sampled from the modulus of the exact Hessian of
-            # the exponential-chart pullback, capped at |v| <= 1
-            spectral = SpectralData.from_hessian(
-                entry.objective.riemannian_hessian(base)
-            )
-            hess = pullback_hessian(entry.objective, base)
+            # the exact Hessian of the exponential-chart pullback: at v = 0
+            # it is the Riemannian Hessian, which gives the splitting and
+            # constants, and the radius is sampled from its modulus,
+            # capped at |v| <= 1
+            hess = pullback_hessian(entry.objective, point)
+            spectral = SpectralData.from_hessian(hess(np.zeros(entry.dim - 1)))
             cert = build_gd_certificate(spectral, schedule, hess, box=min(box, 1.0))
         else:
             H0 = np.asarray(entry.objective.hess(point))

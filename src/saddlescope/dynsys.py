@@ -19,7 +19,6 @@ and keep tails alike.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -67,10 +66,10 @@ class Splitting:
     """
 
     def __init__(self, basis_cs: Sequence[np.ndarray], basis_u: Sequence[np.ndarray]):
-        self.basis_cs = np.atleast_2d(np.asarray(basis_cs, dtype=float)).T  # (d, m)
         self.basis_u = np.atleast_2d(np.asarray(basis_u, dtype=float)).T  # (d, n)
-        if self.basis_cs.shape[1] == 0:
-            self.basis_cs = self.basis_cs.reshape(self.basis_u.shape[0], 0)
+        cs = np.asarray(basis_cs, dtype=float)
+        # an empty E_cs, [] included, is a (d, 0) basis
+        self.basis_cs = np.atleast_2d(cs).T if cs.size else np.zeros((self.basis_u.shape[0], 0))
         self.dim_cs = self.basis_cs.shape[1]
         self.dim_u = self.basis_u.shape[1]
         self.dim = self.dim_cs + self.dim_u
@@ -94,9 +93,7 @@ class Splitting:
 
     def max_norm(self, x: np.ndarray) -> np.ndarray:
         """max(||p_cs x||_2, ||p_u x||_2); vectorized over leading axes."""
-        ncs = np.linalg.norm(self.coords_cs(x), axis=-1)
-        nu = np.linalg.norm(self.coords_u(x), axis=-1)
-        return np.maximum(ncs, nu)
+        return np.maximum(_row_norms(self.coords_cs(x)), _row_norms(self.coords_u(x)))
 
     @classmethod
     def from_columns(cls, B_cs: np.ndarray, B_u: np.ndarray) -> "Splitting":
@@ -128,21 +125,6 @@ class TrajectoryRecord:
             cut -= 1
         return self.iterates[max(cut - 1, len(idx) - length):]
 
-    def to_json(self) -> str:
-        payload = {
-            "initial": self.initial.tolist(),
-            "steps_taken": int(self.steps_taken),
-            "classification": self.classification,
-            "limit_estimate": None
-            if self.limit_estimate is None
-            else self.limit_estimate.tolist(),
-            "iterates_sampled": [
-                {"k": int(k), "x": x.tolist()}
-                for k, x in zip(self.step_indices, self.iterates)
-            ],
-        }
-        return json.dumps(payload, sort_keys=True)
-
 
 # --- the stepping engine ----------------------------------------------------------
 
@@ -155,13 +137,26 @@ def _row_sumsq(X: np.ndarray) -> np.ndarray:
     adds up to seven components in this order (from a leading 0.0, which
     leaves a square as it is), so for d <= 7 the bits agree, ±0, inf and
     NaN included; from d = 8 on its pairwise unrolling changes the order.
-    Every caller has d <= 3.
+    The catalogue and the graph-transform factors have d <= 3.
     """
     P = X * X
     sq = P[..., 0]
     for k in range(1, X.shape[-1]):
         sq = sq + P[..., k]
     return sq
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(X, axis=-1), bit for bit for d <= 7, from _row_sumsq.
+
+    Every per-row Euclidean norm of the package comes from here.  A
+    zero-width factor, such as the E_cs of an all-negative spectrum, has
+    norm 0; a single row (d,) gives a scalar, as np.linalg.norm does.
+    """
+    if not X.shape[-1]:
+        return np.zeros(X.shape[:-1])[()]
+    sq = _row_sumsq(X)
+    return np.sqrt(sq, out=sq) if X.ndim > 1 else np.sqrt(sq)
 
 
 ACTIVE, STOPPED, DIVERGED = 0, 1, 2  # row status codes
@@ -246,7 +241,7 @@ def evolve_batch(
                 tripped = True
                 break
         S = B[: j + 1]
-        small = np.sqrt(_row_sumsq(S[1:] - S[:-1])) < stop_tol  # (j, n)
+        small = _row_norms(S[1:] - S[:-1]) < stop_tol  # (j, n)
         if top or np.count_nonzero(small):
             if j == 1:  # the per-step rule, cheaper than the block rule on many rows
                 run = np.where(small[0], run + 1, 0)
@@ -272,7 +267,7 @@ def evolve_batch(
                 history[h : h + c, rows] = S[first * store_stride - k :: store_stride]
         k += j
         # norm <= R is the exact rule; a NaN norm fails it
-        bad = ~(np.sqrt(_row_sumsq(Xa)) <= DIVERGENCE_RADIUS) if tripped else None
+        bad = ~(_row_norms(Xa) <= DIVERGENCE_RADIUS) if tripped else None
         if top >= STOP_WINDOW or (tripped and np.count_nonzero(bad)):
             stop = run >= STOP_WINDOW
             leave = stop

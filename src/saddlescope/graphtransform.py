@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynsys import Splitting, SystemMap, _row_sumsq
+from .dynsys import Splitting, SystemMap, _row_norms
 
 MAX_FACTOR_DIM = 2  # function-space iteration is exponential in dim(E_cs)
 DEFAULT_RADIUS = 1.0
@@ -283,16 +283,6 @@ class PHPair:
     def graph_lip_bound(self) -> float:
         """Lipschitz bound (lam + 2 eps)/(mu - 2 eps) of transformed graphs."""
         return (self.lam + 2.0 * self.eps) / (self.mu - 2.0 * self.eps)
-
-
-def _row_norms(D: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(D, axis=-1), bit for bit, from dynsys._row_sumsq.
-
-    The last axis has length n <= MAX_FACTOR_DIM, inside the helper's
-    bit-identical range.
-    """
-    sq = _row_sumsq(D)
-    return np.sqrt(sq, out=sq)
 
 
 def _aux_rhs(

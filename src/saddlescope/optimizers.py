@@ -17,8 +17,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dynsys import NonAutonomousSystem, SystemMap, _row_sumsq
-from .phcert import Schedule, StepTooLarge, schedule_sup, step_size
+from .dynsys import NonAutonomousSystem, SystemMap, _row_norms
+from .phcert import Schedule, check_pp_steps, step_size
 
 
 class InnerSolveFailed(RuntimeError):
@@ -65,22 +65,7 @@ class SphereObjective:
         """Metric projection R_x(v) = (x + v)/||x + v||; for unit x and
         tangent v the denominator is sqrt(1 + ||v||^2) >= 1."""
         w = np.asarray(x, dtype=float) + np.asarray(v, dtype=float)
-        return w / np.sqrt(_row_sumsq(w))[..., None]
-
-    def riemannian_hessian(self, x: np.ndarray) -> np.ndarray:
-        """Tangent-coordinate Riemannian Hessian Q^T (H - (x.grad f) I) Q.
-
-        Exact at critical points of the restriction (elsewhere it is the
-        projected ambient Hessian, the standard sphere formula); Q is
-        the deterministic tangent basis at x.
-        """
-        from numpy import eye
-
-        x = np.asarray(x, dtype=float)
-        Q = tangent_basis(x)
-        H = np.asarray(self.ambient.hess(x), dtype=float)
-        s = float(x @ np.asarray(self.ambient.grad(x), dtype=float))
-        return Q.T @ (H - s * eye(self.dim)) @ Q
+        return w / _row_norms(w)[..., None]
 
 
 # --- small batched linear solves ---------------------------------------------
@@ -183,7 +168,7 @@ def rgd_system(objective: SphereObjective, schedule: Schedule) -> NonAutonomousS
                 + alpha * (s[..., None] * eye + x[..., :, None] * (g + Hx)[..., None, :])
             )
             w = x - alpha * (g - s * x)
-            nw = np.linalg.norm(w, axis=-1)[..., None, None]
+            nw = _row_norms(w)[..., None, None]
             what = w[..., :, None] / nw
             return (eye - what * np.swapaxes(what, -1, -2)) @ Dw / nw
 
@@ -224,11 +209,10 @@ def prox_solve(
     X = np.asarray(X, dtype=float)
     Z = X.copy()
     eye = _identity(X.shape[-1])
-    # row norms from dynsys._row_sumsq, the bits of np.linalg.norm
-    tol = np.maximum(inner_tol, _ROUNDING_FLOOR * np.sqrt(_row_sumsq(X)))
+    tol = np.maximum(inner_tol, _ROUNDING_FLOOR * _row_norms(X))
     for _ in range(PROX_MAX_ITER + 1):
         F = prox_inverse(objective, alpha, Z) - X
-        done = np.sqrt(_row_sumsq(F)) <= tol
+        done = _row_norms(F) <= tol
         n_done = np.count_nonzero(done)
         if n_done == done.size:
             return Z
@@ -255,10 +239,7 @@ def pp_system(
     """
     if objective.lipschitz_L is None:
         raise ValueError("proximal point needs objective.lipschitz_L")
-    L = objective.lipschitz_L
-    sup = schedule_sup(schedule)
-    if sup >= 1.0 / L:
-        raise StepTooLarge(f"sup alpha_k = {sup:g} is not below 1/L = {1.0 / L:g}")
+    check_pp_steps(schedule, objective.lipschitz_L)
 
     def map_at(k: int) -> SystemMap:
         alpha = step_size(schedule, k)
@@ -310,7 +291,7 @@ def tangent_basis(base: np.ndarray) -> np.ndarray:
 def sphere_exp(base: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Riemannian exponential at base for ambient tangent vectors v."""
     v = np.asarray(v, dtype=float)
-    theta = np.linalg.norm(v, axis=-1, keepdims=True)
+    theta = _row_norms(v)[..., None]
     return np.cos(theta) * base + np.sinc(theta / math.pi) * v
 
 
@@ -323,7 +304,7 @@ def sphere_log(base: np.ndarray, p: np.ndarray) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     c = np.clip(np.sum(p * base, axis=-1, keepdims=True), -1.0, 1.0)
     w = p - c * base
-    nw = np.linalg.norm(w, axis=-1, keepdims=True)
+    nw = _row_norms(w)[..., None]
     theta = np.arctan2(nw, c)
     scale = np.where(nw > 1e-300, theta / np.maximum(nw, 1e-300), 1.0)
     return scale * w
@@ -429,14 +410,14 @@ def lift_to_tangent(
 
         def evaluate(vc):
             vc = np.asarray(vc, dtype=float)
-            vn = np.linalg.norm(vc, axis=-1)
+            vn = _row_norms(vc)
             if np.any(vn > CHART_RADIUS):
                 raise OutsideChart("input left the tangent chart")
             p = sphere_exp(base, vc @ Q.T)
             p1 = np.asarray(inner.evaluate(p), dtype=float)
             # distance check via arctan2 (well-conditioned near the base)
             c1 = np.clip(np.sum(p1 * base, axis=-1), -1.0, 1.0)
-            s1 = np.linalg.norm(p1 - c1[..., None] * base, axis=-1)
+            s1 = _row_norms(p1 - c1[..., None] * base)
             if np.any(np.arctan2(s1, c1) > CHART_RADIUS + 1e-12):
                 raise OutsideChart("iterate left the tangent chart")
             return sphere_log(base, p1) @ Q

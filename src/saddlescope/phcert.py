@@ -16,7 +16,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynsys import Splitting
+from .dynsys import Splitting, _row_norms
 
 LIPSCHITZ_SEED = 0x5ADD1E
 ADMISSIBLE_HORIZON = 100_000  # explicit lists are checked over this prefix
@@ -170,6 +170,17 @@ def schedule_sup(schedule: Schedule) -> float:
         best = max(best, step_size(schedule, k))
         k += 1
     return best
+
+
+def check_pp_steps(schedule: Schedule, L: float) -> float:
+    """sup_k alpha_k, after checking the proximal point bound sup alpha_k < 1/L.
+
+    Raises StepTooLarge when the bound fails.
+    """
+    sup = schedule_sup(schedule)
+    if sup >= 1.0 / L:
+        raise StepTooLarge(f"sup alpha_k = {sup:g} is not below 1/L = {1.0 / L:g}")
+    return sup
 
 
 # --- admissibility ----------------------------------------------------------
@@ -417,7 +428,7 @@ def sample_lipschitz(
     elif dim is None:
         raise InvalidParameter("need a splitting or an explicit dim")
     else:
-        norm = lambda v: np.linalg.norm(v, axis=-1)
+        norm = _row_norms
     # pairs drawn jointly from a 2*dim-dimensional stream so that nearby
     # near-boundary pairs (the ratio maximizers) are actually sampled
     u = _sobol_cube(pairs, 2 * dim, seed)
@@ -444,7 +455,6 @@ def globalize(
     eps_budget: float,
     splitting: Optional[Splitting] = None,
     dim: Optional[int] = None,
-    seed: int = LIPSCHITZ_SEED,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Blend the remainder g - T of a map into zero outside a ball.
 
@@ -453,18 +463,14 @@ def globalize(
     B_r exactly, and Lip(g~ - T) <= eps_budget globally whenever
     Lip((g - T)|B_r) <= eps_budget/4.  Both Lipschitz conditions are
     verified by sampling GLOBALIZE_PAIRS pairs (in the splitting max-norm
-    when given; dim is needed without one), the global one on
-    B_{GLOBALIZE_CHECK_FACTOR r}; raises BudgetViolated if either sampled
+    when given; dim is needed without one), the local one with
+    LIPSCHITZ_SEED and the global one on B_{GLOBALIZE_CHECK_FACTOR r}
+    with LIPSCHITZ_SEED + 1; raises BudgetViolated if either sampled
     estimate exceeds its bound.
     """
-    if splitting is not None:
-        norm = splitting.max_norm
-    else:
-        norm = lambda v: np.linalg.norm(v, axis=-1)
+    norm = _row_norms if splitting is None else splitting.max_norm
 
-    local = sample_lipschitz(
-        remainder, r, GLOBALIZE_PAIRS, splitting=splitting, dim=dim, seed=seed
-    )
+    local = sample_lipschitz(remainder, r, GLOBALIZE_PAIRS, splitting=splitting, dim=dim)
     if local > eps_budget / 4.0:
         raise BudgetViolated(
             f"sampled Lip((g - T)|B_r) = {local:.3e} exceeds eps_budget/4 = "
@@ -481,7 +487,7 @@ def globalize(
         GLOBALIZE_PAIRS,
         splitting=splitting,
         dim=dim,
-        seed=seed + 1,
+        seed=LIPSCHITZ_SEED + 1,
     )
     if global_lip > eps_budget:
         raise BudgetViolated(
@@ -536,14 +542,13 @@ def estimate_radius(
         raise InvalidParameter("c must be positive")
     check_box(box)
     H0 = np.asarray(hessian(np.zeros(dim)), dtype=float)
-    euclid = lambda v: np.linalg.norm(v, axis=-1)
 
     # with the axis endpoints +-e_i, where a modulus such as 3 x_1^2 peaks
     eye = np.eye(dim)
     base = np.vstack([_sobol_cube(RADIUS_SAMPLES, dim, seed=None), eye, -eye])
 
     def omega(radius: float) -> float:
-        pts = _to_ball(base, radius, euclid)
+        pts = _to_ball(base, radius, _row_norms)
         H = np.asarray(hessian(pts), dtype=float)
         return float(np.max(_symmetric_norm(H - H0)))
 
@@ -700,11 +705,7 @@ def build_pp_certificate(
     neg = h[h < 0]
     if neg.size == 0:
         raise CertificateFailure("not a strict saddle: no negative eigenvalue")
-    sup = schedule_sup(schedule)
-    if sup >= 1.0 / L:
-        raise StepTooLarge(
-            f"sup alpha_k = {sup:g} is not below 1/L = {1.0 / L:g}"
-        )
+    sup = check_pp_steps(schedule, L)
     if not is_nonsummable(schedule):
         raise CertificateFailure("non-summability violated for the PP schedule")
     s = int(np.sum(h >= 0))

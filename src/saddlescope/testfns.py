@@ -16,7 +16,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .dynsys import _row_sumsq
+from .dynsys import _row_norms
 from .optimizers import Objective, SphereObjective
 
 MIN = "min"
@@ -32,7 +32,7 @@ class CriticalPoint:
     eigenvalues: tuple  # Hessian spectrum, descending
 
     def distance(self, x: np.ndarray) -> np.ndarray:
-        return np.sqrt(_row_sumsq(np.asarray(x, dtype=float) - self.point))
+        return _row_norms(np.asarray(x, dtype=float) - self.point)
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class CataloguedObjective:
             g = self.objective.riemannian_grad(x)
         else:
             g = self.objective.grad(x)
-        return np.sqrt(_row_sumsq(np.asarray(g, dtype=float)))
+        return _row_norms(np.asarray(g, dtype=float))
 
     def nearest_critical(self, x: np.ndarray):
         """(entry, distance) of the closest catalogued critical set."""
@@ -180,7 +180,7 @@ def _saddle_line() -> CataloguedObjective:
         sample=lambda t: np.stack(
             [np.zeros_like(t), np.zeros_like(t), np.asarray(t, dtype=float)], axis=-1
         ),
-        distance_fn=lambda x: np.sqrt(_row_sumsq(np.asarray(x, dtype=float)[..., :2])),
+        distance_fn=lambda x: _row_norms(np.asarray(x, dtype=float)[..., :2]),
         classification=STRICT_SADDLE,
         eigenvalues=(1.0, 0.0, -1.0),
     )

@@ -23,7 +23,7 @@ from saddlescope.graphtransform import (
     verify_graph_invariance,
     verify_potential_growth,
 )
-from saddlescope.optimizers import prox_inverse, prox_solve
+from saddlescope.optimizers import prox_inverse, prox_solve, pullback_hessian
 from saddlescope.phcert import (
     SpectralData,
     build_gd_certificate,
@@ -184,10 +184,11 @@ def test_criterion_04_certificates():
                 cert = build_gd_certificate(spectral, sched, entry.objective.hess)
                 _spectral_bound_check(H, cert, rng)
                 checked += 1
-    # the sphere saddle, certified through its exact tangent Hessian
+    # the sphere saddle, certified through its Riemannian Hessian: the
+    # exponential-chart pullback's Hessian at v = 0
     entry = get("rayleigh_sphere")
     base = np.array([0.0, 1.0, 0.0])
-    M = entry.objective.riemannian_hessian(base)
+    M = pullback_hessian(entry.objective, base)(np.zeros(2))
     spectral = SpectralData.from_hessian(M)
     for sched in schedules:
         cert = build_gd_certificate(

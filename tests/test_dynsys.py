@@ -1,6 +1,7 @@
-import json
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,10 +134,9 @@ def test_run_trajectory_sampled_storage():
 def test_trajectory_json_roundtrip():
     system = NonAutonomousSystem(lambda k: gd_map(quad_saddle_grad, 0.1), 2)
     rec = run_trajectory(system, np.array([1.0, 1.0]), max_steps=5, stop_tol=1e-12)
-    payload = json.loads(rec.to_json())
-    assert payload["classification"] == "undecided"
-    assert payload["steps_taken"] == 5
-    assert payload["iterates_sampled"][0]["x"] == [1.0, 1.0]
+    assert rec.classification == "undecided"
+    assert rec.steps_taken == 5
+    assert rec.step_indices[0] == 0 and rec.iterates[0].tolist() == [1.0, 1.0]
 
 
 # --- splittings and the max-norm ------------------------------------------
@@ -146,6 +146,16 @@ def test_max_norm_axes():
     sp = Splitting([np.array([1.0, 0.0])], [np.array([0.0, 1.0])])
     assert sp.max_norm(np.array([3.0, -4.0])) == 4.0
     assert sp.max_norm(np.zeros(2)) == 0.0
+
+
+def test_max_norm_empty_cs_factor():
+    # an empty E_cs has norm 0, so the max-norm is ||p_u x||
+    e1, e2 = np.eye(2)
+    sp = Splitting([], [e1, e2])
+    assert sp.basis_cs.shape == (2, 0) and sp.dim_cs == 0 and sp.dim == 2
+    X = np.array([[3.0, -4.0], [0.0, 0.0], [-1e-3, 2.0]])
+    assert sp.max_norm(X).tolist() == np.linalg.norm(X, axis=-1).tolist()
+    assert sp.max_norm(X[0]) == 5.0
 
 
 def test_max_norm_rotated_splitting():
@@ -238,16 +248,39 @@ def _special_rows(rng, shape):
     return X
 
 
-@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("d", range(8))
 def test_row_sumsq_matches_add_reduce_bitwise(d):
+    # _row_norms against np.linalg.norm for d = 0..7, _row_sumsq for d >= 1
     rng = np.random.default_rng(d)
     for shape in ((4000, d), (50, 80, d), (d,)):
         X = _special_rows(rng, shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            want = np.add.reduce(X * X, axis=-1)
-            got = dynsys._row_sumsq(X)
-        assert np.shape(got) == want.shape
-        assert np.asarray(got).tobytes() == want.tobytes(), (d, shape)
+            if d:
+                want = np.add.reduce(X * X, axis=-1)
+                got = dynsys._row_sumsq(X)
+                assert np.shape(got) == want.shape
+                assert np.asarray(got).tobytes() == want.tobytes(), (d, shape)
+            want = np.linalg.norm(X, axis=-1)
+            got = dynsys._row_norms(X)
+        assert type(got) is type(want) and np.shape(got) == want.shape
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (d, shape)
+
+
+def test_row_norms_have_one_owner():
+    # every per-row Euclidean norm of the package goes through
+    # dynsys._row_norms: no np.linalg.norm(..., axis=...) and no
+    # np.sqrt(_row_sumsq(...)) in the source
+    found = []
+    for path in sorted(Path(dynsys.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = ast.unparse(node.func)
+            if (name == "np.linalg.norm" and any(k.arg == "axis" for k in node.keywords)) or (
+                name == "np.sqrt" and "_row_sumsq(" in ast.unparse(node.args[0])
+            ):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not found, found
 
 
 # --- the blocked engine against a per-step reference -----------------------

@@ -20,7 +20,13 @@ from saddlescope.optimizers import (
     sphere_log,
     tangent_basis,
 )
-from saddlescope.phcert import StepTooLarge, constant_schedule, polynomial_schedule
+from saddlescope.phcert import (
+    SpectralData,
+    StepTooLarge,
+    build_pp_certificate,
+    constant_schedule,
+    polynomial_schedule,
+)
 from saddlescope.testfns import get
 
 
@@ -235,6 +241,17 @@ def test_pp_rejects_large_steps():
     )
     with pytest.raises(StepTooLarge):
         pp_system(obj1d, constant_schedule(0.9))
+
+
+def test_pp_step_bound_one_message():
+    # pp_system and build_pp_certificate share one step bound and its message
+    entry = get("quad_saddle")
+    sched = polynomial_schedule(1.25, 0.5)
+    with pytest.raises(StepTooLarge) as system_exc:
+        pp_system(entry.objective, sched)
+    with pytest.raises(StepTooLarge) as cert_exc:
+        build_pp_certificate(SpectralData.from_hessian(np.diag([1.0, -1.0])), sched, L=1.0)
+    assert str(system_exc.value) == str(cert_exc.value) == "sup alpha_k = 1.25 is not below 1/L = 1"
 
 
 def test_pp_requires_lipschitz_constant():
