@@ -323,8 +323,11 @@ def cmd_evolve(args) -> int:
         system, x0, max_steps=args.steps, stop_tol=STOP_TOL, store_cap=args.steps
     )
     lines = ["k," + ",".join(f"x_{j}" for j in range(entry.dim))]
-    for k, x in zip(record.step_indices, record.iterates):
-        lines.append(",".join([str(int(k))] + [f"{float(v):.17g}" for v in x]))
+    # one template per row; %.17g prints the digits format(v, ".17g") does
+    row = "%d" + ",%.17g" * entry.dim
+    lines += [
+        row % (k, *x.tolist()) for k, x in zip(record.step_indices.tolist(), record.iterates)
+    ]
     lines.append(
         f"# classification={avoidance.classify_limit(record, entry)} "
         f"steps={record.steps_taken}"

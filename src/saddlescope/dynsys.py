@@ -59,17 +59,21 @@ class NonAutonomousSystem:
 class Splitting:
     """Orthogonal decomposition R^d = E_cs + E_u with orthonormal bases.
 
-    basis_cs and basis_u are sequences of d-vectors; they must be
-    mutually orthonormal (within 1e-12).  Coordinates in each factor
+    basis_cs and basis_u are sequences of d-vectors, either of them
+    empty but not both; they must be mutually orthonormal (within 1e-12).  Coordinates in each factor
     carry the Euclidean norm; the induced norm on R^d is the max of the
     two factor norms (see max_norm).
     """
 
     def __init__(self, basis_cs: Sequence[np.ndarray], basis_u: Sequence[np.ndarray]):
-        self.basis_u = np.atleast_2d(np.asarray(basis_u, dtype=float)).T  # (d, n)
-        cs = np.asarray(basis_cs, dtype=float)
-        # an empty E_cs, [] included, is a (d, 0) basis
-        self.basis_cs = np.atleast_2d(cs).T if cs.size else np.zeros((self.basis_u.shape[0], 0))
+        cs, u = np.asarray(basis_cs, dtype=float), np.asarray(basis_u, dtype=float)
+        if not (cs.size or u.size):
+            raise ValueError("a splitting needs a basis vector in E_cs or E_u")
+        d = np.atleast_2d(cs if cs.size else u).shape[1]
+        # an empty factor, [] included, is a (d, 0) basis
+        self.basis_cs, self.basis_u = (
+            np.atleast_2d(b).T if b.size else np.zeros((d, 0)) for b in (cs, u)
+        )
         self.dim_cs = self.basis_cs.shape[1]
         self.dim_u = self.basis_u.shape[1]
         self.dim = self.dim_cs + self.dim_u

@@ -139,7 +139,8 @@ def _double_well() -> CataloguedObjective:
         x = np.asarray(x, dtype=float)
         x0 = x[..., 0]
         out = x.copy()
-        np.subtract(x0 ** 3, x0, out=out[..., 0])
+        # the cube as products: numpy takes x0 ** 3 through libm pow
+        np.subtract(x0 * x0 * x0, x0, out=out[..., 0])
         return out
 
     H1 = np.array([[0.0, 0.0], [0.0, 1.0]])  # the Hessian less its (0, 0) entry

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from saddlescope.avoidance import build_system
 from saddlescope.cli import (
     ConfigError,
     main,
@@ -15,6 +16,7 @@ from saddlescope.cli import (
     pullback_hessian,
     saddle_certificates,
 )
+from saddlescope.dynsys import STOP_TOL, run_trajectory
 from saddlescope.optimizers import Objective, sphere_exp, tangent_basis
 from saddlescope.testfns import get
 
@@ -607,6 +609,35 @@ def test_evolve_negative_init(capsys):
     )
     assert code == 0
     assert out.split("\n")[1] == "0,-1,0.5"
+
+
+@pytest.mark.parametrize(
+    "key, algo, spec, init, steps",
+    [
+        ("double_well", "gd", "const:10", "1.5,0", 50),
+        ("quad_saddle", "gd", "poly:1:0.5", "-0,1e-300", 40),
+        ("rayleigh_sphere", "rgd", "const:0.5", "0.6,0,0.8", 30),
+        ("double_well", "pp", "poly:1:0.01", "-1.25,0.75", 30),
+    ],
+)
+def test_evolve_rows_match_per_float_formatting(capsys, key, algo, spec, init, steps):
+    # the rows, formatted one float at a time as str(k) and f"{v:.17g}"
+    entry = get(key)
+    system = build_system(entry, algo, parse_schedule(spec))
+    rec = run_trajectory(
+        system, parse_vector(init), max_steps=steps, stop_tol=STOP_TOL, store_cap=steps
+    )
+    want = ["k," + ",".join(f"x_{j}" for j in range(entry.dim))] + [
+        ",".join([str(int(k))] + [f"{float(v):.17g}" for v in x])
+        for k, x in zip(rec.step_indices, rec.iterates)
+    ]
+    code, out, _ = run_cli(
+        ["evolve", "--objective", key, "--algo", algo, "--schedule", spec,
+         f"--init={init}", "--steps", str(steps)],
+        capsys,
+    )
+    assert code == 0
+    assert out.rstrip("\n").split("\n")[:-1] == want
 
 
 def test_avoid_diverging_pp_cell_completes(capsys):

@@ -158,6 +158,21 @@ def test_max_norm_empty_cs_factor():
     assert sp.max_norm(X[0]) == 5.0
 
 
+def test_max_norm_empty_u_factor():
+    # an empty E_u has norm 0, so the max-norm is ||p_cs x||, for [] and
+    # for a (d, 0) column block alike
+    e_cs = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    X = np.array([[3.0, -4.0], [0.0, 0.0], [-1e-3, 2.0]])
+    for sp in (Splitting(e_cs, []), Splitting.from_columns(e_cs.T, np.zeros((2, 0)))):
+        assert sp.basis_u.shape == (2, 0) and sp.dim_u == 0 and sp.dim_cs == 2 and sp.dim == 2
+        assert sp.max_norm(X).tolist() == np.linalg.norm(X @ e_cs.T, axis=-1).tolist()
+        assert sp.max_norm(X[0]) == np.linalg.norm(X[0] @ e_cs.T)
+    with pytest.raises(ValueError):
+        Splitting([], [])
+    with pytest.raises(ValueError):
+        Splitting.from_columns(np.zeros((2, 0)), np.zeros((2, 0)))
+
+
 def test_max_norm_rotated_splitting():
     # oracle: hand projection onto span{(1,1)/sqrt2} and span{(1,-1)/sqrt2},
     # cross-checked with brute-force projector matrices

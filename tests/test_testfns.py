@@ -1,7 +1,14 @@
+import ast
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from saddlescope import avoidance, testfns
+from saddlescope.dynsys import STOP_TOL, evolve_batch
 from saddlescope.optimizers import tangent_basis
+from saddlescope.phcert import constant_schedule, polynomial_schedule
 from saddlescope.testfns import (
     KEYS,
     RAYLEIGH_DIAG,
@@ -162,7 +169,8 @@ def _reference_derivatives(key, x):
         H = np.zeros(lead + (2, 2))
         H[..., 0, 0] = 3.0 * x[..., 0] ** 2 - 1.0
         H[..., 1, 1] = 1.0
-        return np.stack([x[..., 0] ** 3 - x[..., 0], x[..., 1]], axis=-1), H
+        x0 = x[..., 0]
+        return np.stack([x0 * x0 * x0 - x0, x[..., 1]], axis=-1), H
     if key == "saddle_line":
         H = np.broadcast_to(np.diag([1.0, -1.0, 0.0]), lead + (3, 3))
         return np.stack([x[..., 0], -x[..., 1], np.zeros_like(x[..., 2])], axis=-1), H
@@ -195,3 +203,62 @@ def test_catalogue_derivatives_match_their_formulas_bitwise(key):
                     else np.linalg.norm(x - s.point, axis=-1)
                 )
                 assert np.asarray(s.distance(x)).tobytes() == want.tobytes()
+
+
+# --- double_well's cube as products --------------------------------------------
+
+
+def _pow_double_well():
+    # the catalogue's double_well with the gradient it had before the
+    # cube became products: x0 ** 3 - x0, through libm pow
+    entry = get("double_well")
+
+    def grad(x):
+        x = np.asarray(x, dtype=float)
+        x0 = x[..., 0]
+        out = x.copy()
+        np.subtract(x0 ** 3, x0, out=out[..., 0])
+        return out
+
+    return replace(entry, objective=replace(entry.objective, grad=grad))
+
+
+@pytest.mark.parametrize(
+    "algo, schedule, trials, max_steps, seed",
+    [
+        ("gd", polynomial_schedule(0.5, 1.0), 64, 3000, 21),
+        ("gd", constant_schedule(0.5), 400, 100_000, 22),
+        ("pp", constant_schedule(0.5 / 26.0), 100, 100_000, 23),
+    ],
+    ids=["gd-poly:1:0.5", "gd-const:0.5", "pp-const:0.5/26"],
+)
+def test_double_well_products_keep_the_pow_verdicts(algo, schedule, trials, max_steps, seed):
+    # products and pow differ only in the last bits of a cube, so the
+    # rows keep their stops and verdicts and their finals stay within 1e-12
+    entry, ref = get("double_well"), _pow_double_well()
+    X0 = np.vstack([avoidance._initial_points(entry, trials, seed, avoidance.DEFAULT_BOX), [[0.0, 0.5]]])
+    runs = []
+    for e in (entry, ref):
+        system = avoidance.build_system(e, algo, schedule)
+        ring, steps, status, _ = evolve_batch(system, X0, max_steps, STOP_TOL)
+        codes, final, _ = avoidance._classify_rows(e, X0, ring, steps, status)
+        runs.append((status, steps, codes, final))
+    (status, steps, codes, final), (status_r, steps_r, codes_r, final_r) = runs
+    assert status.tolist() == status_r.tolist()
+    assert steps.tolist() == steps_r.tolist()
+    assert codes.tolist() == codes_r.tolist()
+    np.testing.assert_allclose(final, final_r, rtol=1e-12, atol=0.0)
+
+
+def test_catalogue_takes_no_pow_of_three_or_more():
+    # numpy evaluates x ** 3 and higher through libm pow, several times
+    # the cost of the products, so the catalogue writes them as products
+    found = []
+    tree = ast.parse(Path(testfns.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Pow):
+            exp = node.right if isinstance(node, ast.BinOp) else node.value
+            value = getattr(exp, "value", None)
+            if isinstance(value, (int, float)) and float(value).is_integer() and value >= 3:
+                found.append(f"testfns.py:{node.lineno}: {ast.unparse(node)}")
+    assert not found, found
