@@ -440,9 +440,12 @@ def _run_cell(kwargs: dict) -> AvoidanceReport:
 
 
 def thread_cap() -> int:
+    """SADDLESCOPE_THREADS if set, else the CPUs this process may run on."""
     env = os.environ.get("SADDLESCOPE_THREADS")
     if env:
         return max(1, int(env))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -124,40 +124,36 @@ def saddle_certificates(entry, algorithm: str, schedule: Schedule, L=None, box=2
     """Build one certificate per catalogued strict saddle.
 
     Certificate radii bound the Hessian modulus on a ball about the
-    origin, so each saddle's Hessian is taken in coordinates centred at
-    it (the sphere's tangent-chart pullback already is).
+    chart origin, so each saddle gets a chart centred at it: the
+    sphere's exponential-chart pullback, with the box capped at |v| <= 1,
+    or the Euclidean translate.  The chart Hessian at 0 gives the
+    splitting and constants.
     """
     avoidance.check_algorithm(entry, algorithm)
     phcert.check_box(box)  # before the sphere's cap can hide a bad box
-    results = []
     saddles = [
         cp for cp in entry.critical_points if cp.classification == STRICT_SADDLE
     ]
     if not saddles:
         raise ConfigError(f"{entry.key} has no catalogued strict saddles")
+    if algorithm == "pp":
+        L = L if L is not None else entry.objective.lipschitz_L
+        if L is None:
+            raise ConfigError("pp certification needs --L")
+    results = []
     for cp in saddles:
         point = cp.sample(np.array(0.0)) if hasattr(cp, "sample") else cp.point
         if entry.is_sphere:
-            # the exact Hessian of the exponential-chart pullback: at v = 0
-            # it is the Riemannian Hessian, which gives the splitting and
-            # constants, and the radius is sampled from its modulus,
-            # capped at |v| <= 1
             hess = pullback_hessian(entry.objective, point)
-            spectral = SpectralData.from_hessian(hess(np.zeros(entry.dim - 1)))
-            cert = build_gd_certificate(spectral, schedule, hess, box=min(box, 1.0))
+            chart_dim, chart_box = entry.dim - 1, min(box, 1.0)
         else:
-            H0 = np.asarray(entry.objective.hess(point))
-            spectral = SpectralData.from_hessian(H0)
             hess = lambda X: entry.objective.hess(X + point)
-            if algorithm == "gd":
-                cert = build_gd_certificate(spectral, schedule, hess, box=box)
-            else:
-                Lval = L if L is not None else entry.objective.lipschitz_L
-                if Lval is None:
-                    raise ConfigError("pp certification needs --L")
-                cert = build_pp_certificate(
-                    spectral, schedule, Lval, hessian=hess, box=box
-                )
+            chart_dim, chart_box = entry.dim, box
+        spectral = SpectralData.from_hessian(hess(np.zeros(chart_dim)))
+        if algorithm == "pp":
+            cert = build_pp_certificate(spectral, schedule, L, hessian=hess, box=chart_box)
+        else:
+            cert = build_gd_certificate(spectral, schedule, hess, box=chart_box)
         results.append((point, cert))
     return results
 

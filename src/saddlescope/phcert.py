@@ -152,12 +152,19 @@ def step_size(schedule: Schedule, k: int) -> float:
     return base * (1.0 + math.cos(math.pi * (k + 0.5) / (2 * schedule.T + 1)))
 
 
+def _step_list(schedule: Schedule) -> Optional[tuple]:
+    """The steps as a list: an explicit list's values, and a constant
+    schedule as the one-value list (alpha0,); None for vanishing steps."""
+    if schedule.family == "constant":
+        return (schedule.alpha0,)
+    return schedule.values
+
+
 def schedule_sup(schedule: Schedule) -> float:
     """sup_k alpha_k, exact for the closed-form families."""
-    if schedule.family == "explicit_list":
-        return float(max(schedule.values))
-    if schedule.family == "constant":
-        return schedule.alpha0
+    steps = _step_list(schedule)
+    if steps is not None:
+        return float(max(steps))
     _check_gamma_range(schedule)
     if schedule.family == "polynomial":
         return schedule.alpha0  # alpha0 / (k+1)^gamma decreases
@@ -270,26 +277,16 @@ class AdmissibilityResult:
 def check_admissible(eigenvalues: np.ndarray, schedule: Schedule) -> AdmissibilityResult:
     """Partition Hessian eigenvalues into center-stable/unstable indices.
 
-    Constant and vanishing (polynomial/cosine) families are resolved
-    analytically with the largest valid margin c and the smallest valid
-    start index K.  Ties |1 - alpha_k h_i| = 1 go to I_cs.  Explicit
-    lists are verified over their first ADMISSIBLE_HORIZON steps only
-    and flagged empirical; raises NotAdmissible when the partition has
-    not settled over the final tenth of that prefix.
+    Vanishing (polynomial/cosine) families are resolved analytically
+    with the largest valid margin c and the smallest valid start index
+    K.  Ties |1 - alpha_k h_i| = 1 go to I_cs.  Step lists are verified
+    over their first ADMISSIBLE_HORIZON steps; a constant schedule is
+    the one-value list (alpha0,), which is exact, and an explicit list
+    is flagged empirical.  Raises NotAdmissible when the partition has
+    not settled over the final tenth of the checked prefix.
     """
     h = np.asarray(eigenvalues, dtype=float)
     d = h.size
-
-    if schedule.family == "constant":
-        mult = np.abs(1.0 - schedule.alpha0 * h)
-        I_u = frozenset(np.flatnonzero(mult > 1.0).tolist())
-        I_cs = frozenset(range(d)) - I_u
-        c = (
-            float(np.min((mult[list(I_u)] - 1.0) / schedule.alpha0))
-            if I_u
-            else math.inf
-        )
-        return AdmissibilityResult(0, I_cs, I_u, c)
 
     if schedule.family in ("polynomial", "cosine"):
         # vanishing steps: the eventual partition is the sign partition
@@ -310,9 +307,10 @@ def check_admissible(eigenvalues: np.ndarray, schedule: Schedule) -> Admissibili
             ) from None
         return AdmissibilityResult(K, I_cs, I_u, c)
 
-    # explicit list: finite-prefix verification
-    n = min(ADMISSIBLE_HORIZON, len(schedule.values))
-    alphas = np.asarray(schedule.values[:n])
+    # a step list: finite-prefix verification
+    steps = _step_list(schedule)
+    n = min(ADMISSIBLE_HORIZON, len(steps))
+    alphas = np.asarray(steps[:n])
     mult = np.abs(1.0 - alphas[:, None] * h[None, :])  # (n, d)
     unstable = mult > 1.0
     final = unstable[-1]
@@ -334,7 +332,7 @@ def check_admissible(eigenvalues: np.ndarray, schedule: Schedule) -> Admissibili
         c = float(np.min(margins))
     else:
         c = math.inf
-    return AdmissibilityResult(K, I_cs, I_u, c, empirical=True)
+    return AdmissibilityResult(K, I_cs, I_u, c, empirical=schedule.family == "explicit_list")
 
 
 def classify_nonsummable(schedule: Schedule) -> str:
@@ -580,7 +578,9 @@ class PHCertificate:
     For k >= K the linearizations T_k are lambda_k-non-expanding on E_cs
     and mu_k-expanding on E_u, with the nonlinear remainder eps_k/4-small
     on the ball of radius r; eps_k < (mu_k - lambda_k)/4 and the ratios
-    eps_k/(mu_k - 2 eps_k) are non-summable.
+    eps_k/(mu_k - 2 eps_k) are non-summable.  The record holds only the
+    constants: lambda_k = 1, and mu_k, eps_k and their formula text are
+    derived from c, which is -h for pp's first negative eigenvalue h.
     """
 
     kind: str  # "gd" or "pp"
@@ -590,10 +590,16 @@ class PHCertificate:
     c: float
     r: float
     partition: tuple  # (I_cs, I_u) as sorted tuples, 0-based
-    mu_formula: str
-    lambda_formula: str
-    eps_formula: str
-    h_unstable: Optional[float] = None  # pp only: first negative eigenvalue
+
+    @property
+    def mu_formula(self) -> str:
+        if self.kind == "gd":
+            return f"1 + {self.c:g}*alpha_k"
+        return f"1/(1 + alpha_k*({-self.c:g}))"
+
+    @property
+    def eps_formula(self) -> str:
+        return f"{self.c / 5.0:g}*alpha_k"
 
     def alpha(self, k) -> np.ndarray:
         """alpha_k by step_size: a float for an int k, an array over an iterable of ints."""
@@ -607,18 +613,18 @@ class PHCertificate:
     def mu(self, k) -> np.ndarray:
         if self.kind == "gd":
             return 1.0 + self.c * self.alpha(k)
-        return 1.0 / (1.0 + self.alpha(k) * self.h_unstable)
+        return 1.0 / (1.0 - self.c * self.alpha(k))
 
     def eps(self, k) -> np.ndarray:
         if self.kind == "gd":
             return self.c * self.alpha(k) / 5.0
-        return (-self.h_unstable / 5.0) * self.alpha(k)
+        return (self.c / 5.0) * self.alpha(k)
 
     def to_json(self) -> str:
         payload = {
             "kind": self.kind,
             "K": int(self.K),
-            "c": self.c if math.isfinite(self.c) else "inf",
+            "c": self.c,
             "r": self.r if math.isfinite(self.r) else "inf",
             "schedule": self.schedule.describe(),
             "partition": {
@@ -626,7 +632,7 @@ class PHCertificate:
                 "I_u": list(self.partition[1]),
             },
             "mu_k": self.mu_formula,
-            "lambda_k": self.lambda_formula,
+            "lambda_k": "1",
             "eps_k": self.eps_formula,
             "basis_cs": self.splitting.basis_cs.T.tolist(),
             "basis_u": self.splitting.basis_u.T.tolist(),
@@ -634,9 +640,21 @@ class PHCertificate:
         return json.dumps(payload, sort_keys=True)
 
 
-def _split_from_partition(spectral: SpectralData, I_cs, I_u) -> Splitting:
+def _certificate(
+    kind: str,
+    spectral: SpectralData,
+    schedule: Schedule,
+    K: int,
+    c: float,
+    r: float,
+    I_cs,
+    I_u,
+) -> PHCertificate:
+    """The certificate with the eigenvector splitting along (I_cs, I_u)."""
+    I_cs, I_u = tuple(sorted(I_cs)), tuple(sorted(I_u))
     V = spectral.eigenvectors
-    return Splitting.from_columns(V[:, sorted(I_cs)], V[:, sorted(I_u)])
+    splitting = Splitting.from_columns(V[:, list(I_cs)], V[:, list(I_u)])
+    return PHCertificate(kind, splitting, K, schedule, c, r, (I_cs, I_u))
 
 
 def build_gd_certificate(
@@ -661,21 +679,8 @@ def build_gd_certificate(
         raise CertificateFailure(
             "non-summability violated: sum of eps_k/(mu_k - 2 eps_k) is finite"
         )
-    dim = spectral.eigenvalues.size
-    r = estimate_radius(hessian, adm.c / 20.0, dim, box=box)
-    c = adm.c
-    return PHCertificate(
-        kind="gd",
-        splitting=_split_from_partition(spectral, adm.I_cs, adm.I_u),
-        K=adm.K,
-        schedule=schedule,
-        c=c,
-        r=r,
-        partition=(tuple(sorted(adm.I_cs)), tuple(sorted(adm.I_u))),
-        mu_formula=f"1 + {c:g}*alpha_k",
-        lambda_formula="1",
-        eps_formula=f"{c / 5.0:g}*alpha_k",
-    )
+    r = estimate_radius(hessian, adm.c / 20.0, spectral.eigenvalues.size, box=box)
+    return _certificate("gd", spectral, schedule, adm.K, adm.c, r, adm.I_cs, adm.I_u)
 
 
 def build_pp_certificate(
@@ -687,9 +692,9 @@ def build_pp_certificate(
 ) -> PHCertificate:
     """NPH certificate for the proximal point method at a strict saddle.
 
-    With s = #{eigenvalues in [0, L]} and h the (s+1)-st eigenvalue (the
-    first negative one): lambda_k = 1, mu_k = 1/(1 + alpha_k h),
-    eps_k = (-h/5) alpha_k, splitting by eigenvalue sign.  Requires
+    With s = #{eigenvalues in [0, L]}, h the (s+1)-st eigenvalue (the
+    first negative one) and c = -h: lambda_k = 1, mu_k = 1/(1 - c alpha_k),
+    eps_k = (c/5) alpha_k, splitting by eigenvalue sign.  Requires
     sup alpha_k < 1/L and non-summable steps.  The radius is sampled
     from the Hessian modulus when one is supplied; with hessian=None the
     remainder is assumed exactly linear (quadratic objective) and r is
@@ -709,28 +714,14 @@ def build_pp_certificate(
     if not is_nonsummable(schedule):
         raise CertificateFailure("non-summability violated for the PP schedule")
     s = int(np.sum(h >= 0))
-    h_u = float(h[s])  # first negative eigenvalue, descending order
-    I_cs = tuple(range(s))
-    I_u = tuple(range(s, h.size))
+    c = -float(h[s])  # minus the first negative eigenvalue, descending order
     if hessian is None:
         r = math.inf
     else:
         rho = 1.0 / (1.0 - sup * L)
-        R = estimate_radius(hessian, (-h_u / 20.0) / rho**2, h.size, box=box)
+        R = estimate_radius(hessian, (c / 20.0) / rho**2, h.size, box=box)
         r = R / rho
-    return PHCertificate(
-        kind="pp",
-        splitting=_split_from_partition(spectral, I_cs, I_u),
-        K=0,
-        schedule=schedule,
-        c=-h_u,
-        r=r,
-        partition=(I_cs, I_u),
-        mu_formula=f"1/(1 + alpha_k*({h_u:g}))",
-        lambda_formula="1",
-        eps_formula=f"{-h_u / 5.0:g}*alpha_k",
-        h_unstable=h_u,
-    )
+    return _certificate("pp", spectral, schedule, 0, c, r, range(s), range(s, h.size))
 
 
 def validate_certificate(cert: PHCertificate, ks: Optional[Sequence[int]] = None) -> None:

@@ -636,3 +636,15 @@ def test_luzin_rgd_determinants_match_per_point():
             for x in X
         ]
         assert report.min_abs_det[j] == pytest.approx(min(map(abs, dets)), rel=1e-12)
+
+
+def test_thread_cap_counts_the_usable_cpus(monkeypatch):
+    # the pool is sized by the CPUs this process may run on, not the machine's
+    monkeypatch.delenv("SADDLESCOPE_THREADS", raising=False)
+    monkeypatch.setattr(avoidance.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(avoidance.os, "cpu_count", lambda: 64)
+    assert avoidance.thread_cap() == 1
+    monkeypatch.delattr(avoidance.os, "sched_getaffinity")
+    assert avoidance.thread_cap() == 64
+    monkeypatch.setenv("SADDLESCOPE_THREADS", "3")
+    assert avoidance.thread_cap() == 3

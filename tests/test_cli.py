@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -268,6 +269,72 @@ def test_certify_rayleigh_radius_is_analytic(spec, capsys):
     for cert in certs:
         assert cert["r"] == pytest.approx(analytic, rel=1e-12)
         assert cert["r"] <= analytic * (1.0 + 1e-12)
+
+
+# sha256 of `certify` stdout for every catalogued strict saddle x algorithm
+# under a constant, a harmonic and a cosine schedule (pp at alpha0 = 0.5/L),
+# plus an explicit --L and a gamma = 1/2 case: a change to the splitting,
+# the constants, the radius or the serialization shows here
+_DW = "0.019230769230769232"  # 0.5 / 26, double_well's pp step
+CERTIFY_DIGESTS = [
+    ("quad_saddle", "gd", "const:0.5", (),
+     "b5b1b12099872e7fbcea9e5e031ec2e0bd3503ce413e403dab9184ca536ad300"),
+    ("quad_saddle", "gd", "poly:1:1.0", (),
+     "14333f7fa5aa663319d8cb6973303f0274418459984f3f53174bdb7560e18b13"),
+    ("quad_saddle", "gd", "cos:1:4:0.5", (),
+     "0cccb3709b5c10c437baf648a92e5144d045d70851dfa7e699b3a0613dbedca6"),
+    ("quad_saddle", "pp", "const:0.5", (),
+     "2e13dace1254fbe748b9903c6f98f70af61a28192a4da1b9678c3bfc6fbf93ee"),
+    ("quad_saddle", "pp", "poly:1:0.5", (),
+     "213c249be96d904bebec543489119e6a01d94719c488eb1bb5e693de11d91283"),
+    ("quad_saddle", "pp", "cos:1:4:0.5", (),
+     "6eeda4a96713f0de8afa6cc0d8fa49da3b810dae4d8d13a85b5df81f4dbabcde"),
+    ("double_well", "gd", "const:0.5", (),
+     "171aea6545b0415531b4e817460b254074debcfefdb66e81e9d518ad16a2708d"),
+    ("double_well", "gd", "poly:1:1.0", (),
+     "d9a81259b24c8c39cf166ad35d7b339f34f39e914a0b04d476563e37565b3651"),
+    ("double_well", "gd", "cos:1:4:0.5", (),
+     "465a1af945f0da8e8325d25a4d009a0087ec9efc243d5e21addc67f6692e467c"),
+    ("double_well", "pp", f"const:{_DW}", (),
+     "3a67bf5ca1802615af2301de21ad0ddfe719306238c97c718229335c13ab5912"),
+    ("double_well", "pp", f"poly:1:{_DW}", (),
+     "b672d1267c737018a13ad23bd6a9893ac4257f104e93e22e5652c32d89da2d93"),
+    ("double_well", "pp", f"cos:1:4:{_DW}", (),
+     "6540279f55a7a8befd1f194e755e8883fc9ff9cafc6f4f72fe702ff5da564b04"),
+    ("saddle_line", "gd", "const:0.5", (),
+     "c41110b3a850de6cb4c45c40c32f77ee0047748c964b1325454f946eb049032d"),
+    ("saddle_line", "gd", "poly:1:1.0", (),
+     "b25866a9e23fff994cc8f8d2670c9bec73239910905868fec677751b6249070f"),
+    ("saddle_line", "gd", "cos:1:4:0.5", (),
+     "458eb98b440bbcff1b04ebec71d39738d94ba7bd0dd970d08f6f8c60c23811ef"),
+    ("saddle_line", "pp", "const:0.5", (),
+     "a8319d30a4ea8dd3abbb3cd8ef5824d54c4683fcae13f152d3ee684be8ceb12e"),
+    ("saddle_line", "pp", "poly:1:0.5", (),
+     "e59a7a97a491667898c8d37b136c076081ac901e3a7479445823a6aefe5c0e12"),
+    ("saddle_line", "pp", "cos:1:4:0.5", (),
+     "4a140b229f709b9ddff1566dfb3bc1a2d2d5180e2fe4382e9a9099af9c19ce8b"),
+    ("rayleigh_sphere", "rgd", "const:0.5", (),
+     "b94c30a07ce344dd5e244f689225367546a1d0c10847afecee05e0f9f5e6941b"),
+    ("rayleigh_sphere", "rgd", "poly:1:1.0", (),
+     "2444c818c1861c601acf967d7a564812c3b627a771c43304ef102bd15e9b85eb"),
+    ("rayleigh_sphere", "rgd", "cos:1:4:0.5", (),
+     "6050a08b0a268fc5beadaba5d749f56f644b5fec545b033f4c33bd327b07467e"),
+    ("quad_saddle", "pp", "const:0.5", ("--L", "1"),
+     "2e13dace1254fbe748b9903c6f98f70af61a28192a4da1b9678c3bfc6fbf93ee"),
+    ("quad_saddle", "pp", "const:0.5", ("--L", "1.5"),
+     "781b7b1c20087b69317583bc7ebe3d1f2b7b54cadf6bbd8ba12f50c149a83053"),
+    ("double_well", "gd", "poly:0.5:0.5", (),
+     "9696a547d117f6f17e9c632e8c8e369e1ddf41e5ec5abacc7990cb0afa7aa680"),
+]
+
+
+@pytest.mark.parametrize("key, algo, spec, extra, digest", CERTIFY_DIGESTS)
+def test_certify_bytes_are_pinned(key, algo, spec, extra, digest, capsys):
+    code, out, _ = run_cli(
+        ["certify", "--objective", key, "--algo", algo, "--schedule", spec, *extra], capsys
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def _central_hessian(f, v, h=1e-4):

@@ -275,6 +275,24 @@ def test_admissible_explicit_list_unsettled_raises():
         check_admissible(np.array([2.0]), explicit_schedule(vals))
 
 
+@given(
+    st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=5),
+    st.floats(0.0, 4.0, exclude_min=True),
+    st.integers(1, 50),
+)
+def test_constant_schedule_is_a_one_value_step_list(h, alpha, n):
+    # any length of the explicit list [alpha] * n gives the constant
+    # schedule's partition, K and margin bit for bit; only the empirical
+    # flag differs
+    h = np.array(h)
+    const = check_admissible(h, constant_schedule(alpha))
+    listed = check_admissible(h, explicit_schedule([alpha] * n))
+    assert (const.K, const.I_cs, const.I_u) == (listed.K, listed.I_cs, listed.I_u)
+    assert np.float64(const.c).tobytes() == np.float64(listed.c).tobytes()
+    assert not const.empirical and listed.empirical
+    assert schedule_sup(constant_schedule(alpha)) == schedule_sup(explicit_schedule([alpha] * n))
+
+
 # --- non-summability --------------------------------------------------------
 
 

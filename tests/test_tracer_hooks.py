@@ -47,3 +47,29 @@ def test_traced_graph_transforms_are_counted():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_certificates_are_timed():
+    # the theory workload times certify through these spans: the builders,
+    # the radius search's Hessian, the subcommand and the sphere pullback
+    code = (
+        "import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]\n"
+        "import spans\n"
+        "tracer = spans.Tracer(); spans.install(tracer)\n"
+        "from saddlescope import cli\n"
+        "for key, algo, spec in (('double_well', 'gd', 'const:0.5'),\n"
+        "                        ('quad_saddle', 'pp', 'poly:1:0.5'),\n"
+        "                        ('rayleigh_sphere', 'rgd', 'cos:1:4:0.5')):\n"
+        "    argv = ['certify', '--objective', key, '--algo', algo, '--schedule', spec]\n"
+        "    assert cli.main(argv) == 0\n"
+        "m = spans.layer_metrics(tracer.arrays(), [])\n"
+        "for key in ('phcert.certificate_ms', 'phcert.estimate_radius_hess_calls',\n"
+        "            'cli.certify_ms', 'cli.pullback_hessian_ms'):\n"
+        "    assert m[key] > 0, (key, m[key])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(ROOT / "src"), str(ROOT / "bench")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
