@@ -42,6 +42,20 @@ class IncompatibleSplitting(ValueError):
     """Pairs in a composition do not share one splitting."""
 
 
+class _InterpWork:
+    """The arrays one interpolation of N points writes into."""
+
+    def __init__(self, m: int, n: int, N: int):
+        self.N = N
+        self.frac = np.empty((m, N))
+        self.lower = np.empty((m, N))  # floor(frac), then 1 - frac
+        self.idx = np.empty((m, N), dtype=int)
+        self.out = np.empty((N, n))
+        self.weight = np.empty(N)
+        self.gathered = np.empty(N)
+        self.nodes = np.empty(N, dtype=int)
+
+
 class GraphFunction:
     """A function E_cs -> E_u sampled on a regular lattice.
 
@@ -55,6 +69,8 @@ class GraphFunction:
     through its flat C-order buffer, where node i's E_u vector is the
     run of n entries at n*i.
     """
+
+    _work: Optional[_InterpWork] = None  # set by with_work
 
     def __init__(
         self,
@@ -117,6 +133,19 @@ class GraphFunction:
     def origin_index(self) -> tuple:
         return (self.npts // 2,) * self.m
 
+    def with_work(self, N: int) -> "GraphFunction":
+        """This function, with interpolation work arrays for N points.
+
+        The copy shares values, and each of its calls on N points writes
+        into the same arrays, its result included, so a call overwrites
+        the result of the one before.  It serves callers that use each
+        result before the next call, such as the sweeps of one
+        fixed-point solve; other point counts get fresh arrays.
+        """
+        out = self.like(self.values)
+        out._work = _InterpWork(self.m, self.n, N)
+        return out
+
     def __call__(self, y: np.ndarray) -> np.ndarray:
         """Clamped multilinear interpolation; (..., m) -> (..., n).
 
@@ -132,23 +161,29 @@ class GraphFunction:
         y = np.asarray(y, dtype=float)
         scalar_in = y.ndim == 1
         m, n = self.m, self.n
-        frac = y.reshape(-1, m).T.copy()  # (m, N): one row per axis
+        points = y.reshape(-1, m)
+        N = len(points)
+        work = self._work
+        if work is None or work.N != N:
+            work = _InterpWork(m, n, N)
+        frac, lower, idx = work.frac, work.lower, work.idx  # (m, N): one row per axis
+        np.copyto(frac, points.T)
         np.clip(frac, -self.radius, self.radius, out=frac)
         frac += self.radius
         frac /= self.delta
-        idx = np.floor(frac).astype(int)
+        np.copyto(idx, np.floor(frac, out=lower), casting="unsafe")
         np.clip(idx, 0, self.npts - 2, out=idx)
         frac -= idx
-        factors = (1.0 - frac, frac)
+        factors = (np.subtract(1.0, frac, out=lower), frac)
         base = idx[0]  # becomes n * (flat index of the lowest corner)
         for j in range(1, m):
             base *= self.npts
             base += idx[j]
         base *= n
         flat = self.values.reshape(-1)
-        N = len(base)
-        out = np.zeros((N, n))
-        weight, gathered, nodes = np.empty(N), np.empty(N), np.empty_like(base)
+        out = work.out
+        out.fill(0.0)
+        weight, gathered, nodes = work.weight, work.gathered, work.nodes
         for corner in itertools.product((0, 1), repeat=m):
             w = factors[corner[0]][0]
             offset = corner[0]
@@ -302,7 +337,7 @@ def _aux_rhs(
 
 def _solve_fixed_points(
     pair: PHPair,
-    phi: Callable,
+    phi: GraphFunction,
     Y: np.ndarray,
     tol: float,
     ratio_sink: Optional[list] = None,
@@ -311,11 +346,13 @@ def _solve_fixed_points(
 
     The contraction factor 2 eps / mu < 1 guarantees geometric
     convergence; successive-step ratios above 1 (measured away from the
-    floating-point noise floor) raise NoContraction.
+    floating-point noise floor) raise NoContraction.  Every sweep
+    interpolates phi into the same work arrays.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
+    phi = phi.with_work(len(Y))
     AY = Y @ pair.A_cs.T
     Z = np.zeros((len(Y), pair.n))
     prev_step = None

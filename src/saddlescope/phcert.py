@@ -379,16 +379,99 @@ class SpectralData:
 # --- sampled Lipschitz constants and the bump globalization -----------------
 
 
-def _sobol_cube(n: int, dim: int, seed: Optional[int]) -> np.ndarray:
-    """n Sobol points in [-1, 1]^dim (drawn in power-of-two blocks)."""
-    from scipy.stats import qmc  # imported here: scipy.stats costs ~1 s to import
+# The first rows of Joe & Kuo's new-joe-kuo-6.21201 table: per dimension,
+# the primitive polynomial x^s + a_1 x^(s-1) + ... + a_(s-1) x + 1 as the
+# integer with bits 1 a_1 ... a_(s-1) 1, and the initial direction numbers
+# m_1..m_s.  The first dimension (polynomial 1) has every m_j = 1.
+SOBOL_TABLE = (
+    (1, (1,)),
+    (3, (1,)),
+    (7, (1, 3)),
+    (11, (1, 3, 1)),
+    (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)),
+    (25, (1, 3, 5, 13)),
+    (37, (1, 1, 5, 5, 17)),
+    (41, (1, 1, 5, 5, 5)),
+    (47, (1, 1, 7, 11, 19)),
+    (55, (1, 1, 5, 1, 1)),
+    (59, (1, 1, 1, 3, 11)),
+    (61, (1, 3, 5, 5, 31)),
+    (67, (1, 3, 3, 9, 7, 49)),
+    (91, (1, 1, 1, 15, 21, 21)),
+    (97, (1, 3, 1, 13, 27, 49)),
+)
+SOBOL_BITS = 30  # bits per coordinate, so at most 2^30 points
 
-    sob = qmc.Sobol(dim, scramble=seed is not None, seed=seed)
-    m = max(1, math.ceil(math.log2(max(n, 1))))
-    u = sob.random_base2(m)
-    while len(u) < n:
-        u = np.vstack([u, sob.random_base2(m)])
-    return 2.0 * u[:n] - 1.0
+
+def _sobol_directions(dim: int, m: int) -> np.ndarray:
+    """The first m direction numbers v_j = m_j 2^(SOBOL_BITS - j) per dimension.
+
+    Beyond the table's initial values, m_j follows the Bratley-Fox
+    recurrence m_j = 2 a_1 m_(j-1) ^ ... ^ 2^(s-1) a_(s-1) m_(j-s+1)
+    ^ 2^s m_(j-s) ^ m_(j-s).
+    """
+    rows = []
+    for poly, init in SOBOL_TABLE[:dim]:
+        s = poly.bit_length() - 1
+        mj = list(init) if s else [1] * m
+        for j in range(s, m):
+            new = mj[j - s] ^ (mj[j - s] << s)
+            for k in range(1, s):
+                if (poly >> (s - k)) & 1:
+                    new ^= mj[j - k] << k
+            mj.append(new)
+        rows.append([mj[j] << (SOBOL_BITS - 1 - j) for j in range(m)])
+    return np.array(rows, dtype=np.uint32).reshape(dim, m)
+
+
+def _sobol_cube(n: int, dim: int, seed: Optional[int]) -> np.ndarray:
+    """n Sobol points in [-1, 1]^dim: the first n of 2^ceil(log2 n) points.
+
+    The sequence is Sobol's with the direction numbers of Joe & Kuo,
+    "Constructing Sobol sequences with better two-dimensional
+    projections", SIAM J. Sci. Comput. 30 (2008) 2635-2654, in Gray-code
+    order on SOBOL_BITS bits, starting at the shift.  With a seed it is
+    scrambled as scipy does: a random digital shift, then a left linear
+    matrix scramble (LMS) of the direction numbers by random
+    lower-triangular bit matrices with a unit diagonal, both drawn from
+    np.random.default_rng(seed) in that order.  The points are the first
+    n rows of scipy.stats.qmc.Sobol(dim, scramble=seed is not None,
+    seed=seed).random_base2(m), m = max(1, ceil(log2 n)), bit for bit.
+    Raises InvalidParameter for a dimension beyond SOBOL_TABLE or more
+    than 2^SOBOL_BITS points.
+    """
+    if not 0 <= dim <= len(SOBOL_TABLE):
+        raise InvalidParameter(
+            f"Sobol points are tabulated for at most {len(SOBOL_TABLE)} dimensions, got {dim}"
+        )
+    if n > 1 << SOBOL_BITS:
+        raise InvalidParameter(f"at most 2^{SOBOL_BITS} Sobol points, got {n}")
+    m = max(1, (n - 1).bit_length())  # ceil(log2 n)
+    v = _sobol_directions(dim, m)
+    if seed is None:
+        shift = np.zeros(dim, dtype=np.uint32)
+    else:
+        rng = np.random.default_rng(seed)
+        bits = np.arange(SOBOL_BITS, dtype=np.uint32)
+        shift = rng.integers(0, 2, size=(dim, SOBOL_BITS), dtype=np.uint32) @ (1 << bits)
+        ltm = np.tril(rng.integers(0, 2, size=(dim, SOBOL_BITS, SOBOL_BITS), dtype=np.uint32))
+        ltm[:, bits, bits] = 1
+        # bit SOBOL_BITS-1-p of a scrambled number is the parity of row p
+        # of its matrix (column 0 weighing most) against the number's bits
+        msb_first = bits[::-1]
+        v_bits = (v[:, :, None] >> msb_first) & 1
+        v = ((v_bits @ ltm.transpose(0, 2, 1)) & 1) @ (1 << msb_first)
+    # point k is the shift XOR the v_j of the set bits j of gray(k), and
+    # gray(2^j + i) = 2^j + gray(2^j - 1 - i), so each power-of-two block
+    # is the one before it reversed and XORed with the next v_j
+    q = np.empty((1 << m, dim), dtype=np.uint32)
+    q[0] = shift
+    for j in range(m):
+        h = 1 << j
+        np.bitwise_xor(q[h - 1 :: -1], v[:, j], out=q[h : 2 * h])
+    u = q[:n] * 2.0**-SOBOL_BITS
+    return 2.0 * u - 1.0
 
 
 def _to_ball(u: np.ndarray, radius: float, norm) -> np.ndarray:

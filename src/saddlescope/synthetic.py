@@ -70,13 +70,19 @@ def random_ph_pair(rng: np.random.Generator, m: int, n: int) -> PHPair:
 
     def remainder(Y, Z):
         R_cs, R_u = np.zeros(np.shape(Y)), np.zeros(np.shape(Z))
+        # s and t hold every per-point intermediate, in place of a fresh
+        # array for each; s is a * sin(Y v_cs + Z v_u)
+        s, t = np.empty(np.shape(Y)[:-1]), np.empty(np.shape(Y)[:-1])
         for a, w_cs, w_u, v_cs, v_u in terms:
-            s = a * np.sin(Y @ v_cs + Z @ v_u)
+            np.matmul(Y, v_cs, out=s)
+            s += np.matmul(Z, v_u, out=t)
+            np.sin(s, out=s)
+            s *= a
             # one pass per component: a broadcast over the short last
             # axis is numpy's slow path; each product is the same
             for R, w in ((R_cs, w_cs), (R_u, w_u)):
                 for j, wj in enumerate(w):
-                    R[..., j] += s * wj
+                    R[..., j] += np.multiply(s, wj, out=t)
         return R_cs, R_u
 
     return PHPair(splitting, C, Uu, mu=mu, lam=lam, eps=eps, remainder=remainder)

@@ -526,8 +526,8 @@ def test_probe_dimension_checked_before_any_trial(probe, monkeypatch):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes about a second to import and only the Sobol
-    # sampler of the Lipschitz estimates needs it
+    # scipy.stats takes about a second to import; the package needs
+    # none of scipy (see test_cli_runs_load_no_scipy)
     code = "import sys, saddlescope; print('scipy.stats' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True

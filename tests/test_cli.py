@@ -337,6 +337,29 @@ def test_certify_bytes_are_pinned(key, algo, spec, extra, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_cli_runs_load_no_scipy():
+    # certificate radii and globalize's Lipschitz checks draw their Sobol
+    # points from numpy, so no command imports scipy
+    runs = [
+        ["certify", "--objective", "rayleigh_sphere", "--algo", "rgd", "--schedule", "const:0.5"],
+        ["certify", "--objective", "double_well", "--algo", "pp", "--schedule", f"const:{_DW}"],
+        ["graphs", "--chain", "perturbed"],
+    ]
+    code = f"""
+import contextlib, io, sys
+import saddlescope
+from saddlescope.cli import main
+for args in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(args) == 0, args
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def _central_hessian(f, v, h=1e-4):
     k = v.size
     E = h * np.eye(k)

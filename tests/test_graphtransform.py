@@ -10,6 +10,7 @@ from saddlescope.graphtransform import (
     IncompatibleSplitting,
     NoContraction,
     PHPair,
+    _aux_rhs,
     _solve_fixed_points,
     compose_phi,
     function_norm,
@@ -211,8 +212,6 @@ def test_auxiliary_no_contraction_detected():
 
 def test_parameter_lipschitz_bound():
     # for fixed z, y -> h_y^phi(z) is (lam + 2 eps)/mu Lipschitz
-    from saddlescope.graphtransform import _aux_rhs
-
     rng = np.random.default_rng(5)
     for _ in range(5):
         pair = random_ph_pair(rng, 1, 1)
@@ -535,6 +534,17 @@ def test_interpolation_matches_tuple_indexed_formula_bitwise(m, n, delta, radius
     # a zero start turns -0.0 data into +0.0, as the per-node sum does
     neg_zero = phi.like(np.full(phi.values.shape, -0.0))
     assert same_bits(neg_zero(batches[0]), reference_interpolate(neg_zero, batches[0]))
+    # one solve's work arrays serve different point sets in a row; each
+    # call overwrites the last one's result in place
+    swept = phi.with_work(300)
+    for Y in batches[:3]:
+        got = swept(Y)
+        assert same_bits(got, phi(Y))
+        assert np.shares_memory(got, swept._work.out)
+    # another point count gets fresh arrays
+    got = swept(batches[3])
+    assert same_bits(got, phi(batches[3]))
+    assert not np.shares_memory(got, swept._work.out)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -557,3 +567,14 @@ def test_graph_transform_matches_reference_solve_bitwise(m, n):
         ref[phi.origin_index] = 0.0
         assert same_bits(out.values, ref)
         assert sink == ref_sink and len(sink) > 0
+    # one solve's work arrays serve two point sets in a row: each sweep
+    # equals the reference sweep from fresh arrays
+    phi = random_f1_graph(rng, m, n, delta=delta)
+    swept = phi.with_work(50)
+    A_u_inv = np.linalg.inv(pair.A_u)
+    for _ in range(2):
+        Y = rng.uniform(-2.0, 2.0, size=(50, m))
+        Z = rng.uniform(-2.0, 2.0, size=(50, n))
+        R_cs, R_u = reference_sine_remainder(pair)(Y, Z)
+        ref = (reference_interpolate(phi, Y @ pair.A_cs.T + R_cs) - R_u) @ A_u_inv.T
+        assert same_bits(_aux_rhs(pair, swept, Y, Y @ pair.A_cs.T, Z), ref)

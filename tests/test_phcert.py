@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,9 @@ from hypothesis import strategies as st
 
 from saddlescope.dynsys import Splitting
 from saddlescope.phcert import (
+    LIPSCHITZ_SEED,
+    SOBOL_TABLE,
+    _sobol_cube,
     _symmetric_norm,
     BudgetViolated,
     CertificateFailure,
@@ -420,6 +424,62 @@ def test_sample_lipschitz_square_1d():
     # x -> x^2 on [-1, 1]: slope |x + y| approaches 2 at the endpoints
     got = sample_lipschitz(lambda x: x**2, 1.0, 100_000, dim=1)
     assert 1.9 <= got <= 2.0 + 1e-12
+
+
+# --- Sobol points -----------------------------------------------------------
+
+# sha256 of _sobol_cube(n, dim, seed).tobytes(), recorded from
+# scipy.stats.qmc.Sobol: the sets estimate_radius draws (512 unscrambled
+# points), the two globalize checks (4096 pairs of points in 1 or 2
+# dimensions) and the sample_lipschitz calls of the tests
+SOBOL_PINS = [
+    (512, 1, None, "dd720f523bb32abd45238fb5e81bdf2e7a62b974c5fe8562ace50656491d8391"),
+    (512, 2, None, "767cac6d78a5ecfe9ecf37ba7fb4e36ff0467d636adece5e3f05a8e6617d5fbc"),
+    (512, 3, None, "4e16b06b049c624926fee17d074463fbd27250ce11e0979a7083897397d6f6cb"),
+    (512, 4, None, "94c641d36de50dead8b762006cb7103e77c7076b1028cf89d4927bc63763ee1b"),
+    (4096, 2, LIPSCHITZ_SEED,
+     "feda98e76e26ddb63fac254bb40e5785b8d5bb51ee364eaea4d2319b5d7fbdff"),
+    (4096, 2, LIPSCHITZ_SEED + 1,
+     "0d6eb6297da4d0388c941544fee6b04fb532eec60403c182fb06610bac6dfabf"),
+    (4096, 4, LIPSCHITZ_SEED,
+     "5a67d5d6ba3b8b05dcf840f1996e4f5137827b0b4b3d5564ee504c3afb9f3283"),
+    (4096, 4, LIPSCHITZ_SEED + 1,
+     "afeeb516a0d0607f3f862edf140e4dedb0c7775a15bf127669f80b21bf9c1a41"),
+    (128, 4, LIPSCHITZ_SEED,
+     "c3640f9edab136a8ef0545e8f4d0b58926e332ff0d0b40ddfb939359b02f3789"),
+    (50_000, 2, LIPSCHITZ_SEED,
+     "9898759739a8af2d69d6998193831780db259aeffb3b4ecdee4b4db8c00b9a2b"),
+    (100_000, 2, LIPSCHITZ_SEED,
+     "17ab5317b376a34299d96ada5a2aecbf221563256a4e4828d8642abc74e2af9f"),
+]
+
+
+@pytest.mark.parametrize("n, dim, seed, digest", SOBOL_PINS)
+def test_sobol_sets_are_pinned(n, dim, seed, digest):
+    u = _sobol_cube(n, dim, seed)
+    assert u.shape == (n, dim) and u.dtype == np.float64
+    assert hashlib.sha256(u.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("dim", range(1, len(SOBOL_TABLE) + 1))
+def test_sobol_cube_matches_scipy_bitwise(dim):
+    qmc = pytest.importorskip("scipy.stats").qmc
+    for m in range(1, 18):
+        for seed in (None, LIPSCHITZ_SEED, LIPSCHITZ_SEED + 1, 7):
+            ref = qmc.Sobol(dim, scramble=seed is not None, seed=seed).random_base2(m)
+            got = _sobol_cube(2**m, dim, seed)
+            assert got.tobytes() == (2.0 * ref - 1.0).tobytes(), (m, seed)
+
+
+def test_sobol_cube_rejects_out_of_range_requests():
+    assert _sobol_cube(3, len(SOBOL_TABLE), None).shape == (3, len(SOBOL_TABLE))
+    with pytest.raises(InvalidParameter, match="at most 16 dimensions"):
+        _sobol_cube(8, 17, None)
+    # pairs are drawn from a 2*dim-dimensional stream
+    with pytest.raises(InvalidParameter, match="at most 16 dimensions, got 18"):
+        sample_lipschitz(lambda x: x, 1.0, 8, dim=9)
+    with pytest.raises(InvalidParameter, match=r"at most 2\^30 Sobol points"):
+        _sobol_cube(2**30 + 1, 1, None)
 
 
 # --- globalization ----------------------------------------------------------
