@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import json
 import operator
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynsys import ACTIVE, DIVERGED, STOP_TOL, TrajectoryRecord, _row_norms
+from .dynsys import ACTIVE, DIVERGED, STOP_TOL, TrajectoryRecord, _row_norms, thread_cap
 from .dynsys import evolve_batch as _evolve_batch
 from .optimizers import UNIT_TOL, gd_system, pp_system, rgd_system, tangent_basis
 from .phcert import Schedule, check_admissible, check_box, constant_schedule, is_nonsummable
@@ -437,16 +436,6 @@ def monte_carlo_avoidance(
 
 def _run_cell(kwargs: dict) -> AvoidanceReport:
     return monte_carlo_avoidance(**kwargs)
-
-
-def thread_cap() -> int:
-    """SADDLESCOPE_THREADS if set, else the CPUs this process may run on."""
-    env = os.environ.get("SADDLESCOPE_THREADS")
-    if env:
-        return max(1, int(env))
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def run_matrix(cells: Sequence[dict], threads: Optional[int] = None) -> list:

@@ -20,6 +20,7 @@ and keep tails alike.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -30,6 +31,16 @@ STORE_STRIDE = 100  # run_trajectory keeps every STORE_STRIDE-th iterate past st
 STOP_WINDOW = 60  # consecutive small steps that stop a row; also the tail ring's length
 STOP_TOL = 1e-12  # per-step displacement below which a step counts as small
 DIVERGENCE_RADIUS = 1e8  # a finite iterate beyond this norm has diverged
+
+
+def thread_cap() -> int:
+    """SADDLESCOPE_THREADS if set, else the CPUs this process may run on."""
+    env = os.environ.get("SADDLESCOPE_THREADS")
+    if env:
+        return max(1, int(env))
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

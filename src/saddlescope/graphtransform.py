@@ -12,19 +12,28 @@ Iterating the transforms of a non-autonomous sequence right-to-left from
 the zero function builds the center-stable graphs, and the potential
 V_phi(x) = ||p_u(x) - phi(p_cs(x))|| certifies that off-graph points are
 expelled at rate mu - 2 eps > 1.
+
+A large fixed-point solve splits its lattice rows into contiguous
+chunks, one per thread, up to thread_cap() threads (SADDLESCOPE_THREADS
+caps them, as it caps the Monte Carlo cell pool), and sweeps them in
+lockstep.  Rows are independent and the stop and contraction tests
+take exact maxima over all rows, so the bits do not depend on the
+thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynsys import Splitting, SystemMap, _row_norms
+from .dynsys import Splitting, SystemMap, _row_norms, thread_cap
 
 MAX_FACTOR_DIM = 2  # function-space iteration is exponential in dim(E_cs)
 DEFAULT_RADIUS = 1.0
@@ -32,6 +41,7 @@ DEFAULT_DELTA = 1.0 / 64.0
 LIP_GRID_TOL = 1e-8
 FIXED_POINT_MAX_ITER = 10_000  # auxiliary-map iterations before NoContraction
 CONSISTENCY_NODES = 32  # nodes re-solved by verify_graph_invariance
+MIN_CHUNK_ROWS = 16384  # fewest rows per thread of a fixed-point solve
 
 
 class NoContraction(RuntimeError):
@@ -46,7 +56,6 @@ class _InterpWork:
     """The arrays one interpolation of N points writes into."""
 
     def __init__(self, m: int, n: int, N: int):
-        self.N = N
         self.frac = np.empty((m, N))
         self.lower = np.empty((m, N))  # floor(frac), then 1 - frac
         self.idx = np.empty((m, N), dtype=int)
@@ -69,8 +78,6 @@ class GraphFunction:
     through its flat C-order buffer, where node i's E_u vector is the
     run of n entries at n*i.
     """
-
-    _work: Optional[_InterpWork] = None  # set by with_work
 
     def __init__(
         self,
@@ -133,21 +140,15 @@ class GraphFunction:
     def origin_index(self) -> tuple:
         return (self.npts // 2,) * self.m
 
-    def with_work(self, N: int) -> "GraphFunction":
-        """This function, with interpolation work arrays for N points.
-
-        The copy shares values, and each of its calls on N points writes
-        into the same arrays, its result included, so a call overwrites
-        the result of the one before.  It serves callers that use each
-        result before the next call, such as the sweeps of one
-        fixed-point solve; other point counts get fresh arrays.
-        """
-        out = self.like(self.values)
-        out._work = _InterpWork(self.m, self.n, N)
-        return out
-
     def __call__(self, y: np.ndarray) -> np.ndarray:
-        """Clamped multilinear interpolation; (..., m) -> (..., n).
+        """Clamped multilinear interpolation; (..., m) -> (..., n)."""
+        y = np.asarray(y, dtype=float)
+        points = y.reshape(-1, self.m)
+        out = self._interp(points, _InterpWork(self.m, self.n, len(points)))
+        return out[0] if y.ndim == 1 else out.reshape(y.shape[:-1] + (self.n,))
+
+    def _interp(self, points: np.ndarray, work: _InterpWork) -> np.ndarray:
+        """Interpolate at the (N, m) points into work's arrays; returns work.out.
 
         Evaluated as a stencil on the flat values buffer: a point's 2^m
         corner nodes sit at fixed offsets from its flat base index, and
@@ -156,16 +157,11 @@ class GraphFunction:
         one entry per point.  The arithmetic is the per-node formula's
         in the same order: a corner's weight is the product of the
         per-axis factors 1 - frac and frac in axis order, and corners
-        are added, in itertools.product order, to a zero start.
+        are added, in itertools.product order, to a zero start.  It
+        writes only into work, so calls with their own work arrays may
+        run on several threads at once.
         """
-        y = np.asarray(y, dtype=float)
-        scalar_in = y.ndim == 1
         m, n = self.m, self.n
-        points = y.reshape(-1, m)
-        N = len(points)
-        work = self._work
-        if work is None or work.N != N:
-            work = _InterpWork(m, n, N)
         frac, lower, idx = work.frac, work.lower, work.idx  # (m, N): one row per axis
         np.copyto(frac, points.T)
         np.clip(frac, -self.radius, self.radius, out=frac)
@@ -198,7 +194,7 @@ class GraphFunction:
                 np.take(flat, ix, out=gathered, mode="clip")
                 np.multiply(w, gathered, out=gathered)
                 out[:, k] += gathered
-        return out[0] if scalar_in else out.reshape(y.shape[:-1] + (n,))
+        return out
 
     # -- invariants ------------------------------------------------------------
 
@@ -210,11 +206,14 @@ class GraphFunction:
             worst = max(worst, float(np.max(_row_norms(d))) / self.delta)
         return worst
 
-    def validate(self) -> None:
+    def validate(self, lip: Optional[float] = None) -> None:
+        """Check the graph class: a zero origin node and a slope of at
+        most 1; lip, when given, is this function's lipschitz_upper()."""
         origin = self.values[self.origin_index]
         if np.any(origin != 0.0):
             raise ValueError("value at the origin node must be exactly zero")
-        lip = self.lipschitz_upper()
+        if lip is None:
+            lip = self.lipschitz_upper()
         if lip > 1.0 + LIP_GRID_TOL:
             raise ValueError(f"adjacent-node Lipschitz bound violated: {lip}")
 
@@ -252,7 +251,9 @@ class PHPair:
     mu-expanding on E_u and lam-non-expanding on E_cs, and the
     remainder (Y, Z) -> (R_cs, R_u) must be eps-Lipschitz with
     eps < (mu - lam)/4 in the splitting max-norm.  remainder is None
-    for a linear pair.
+    for a linear pair; it must act row by row, and a large fixed-point
+    solve calls it on disjoint blocks of rows from several threads at
+    once.
     """
 
     splitting: Splitting
@@ -320,19 +321,76 @@ class PHPair:
         return (self.lam + 2.0 * self.eps) / (self.mu - 2.0 * self.eps)
 
 
-def _aux_rhs(
-    pair: PHPair, phi: Callable, Y: np.ndarray, AY: np.ndarray, Z: np.ndarray
+def _rows_rhs(
+    pair: PHPair,
+    phi: GraphFunction,
+    Y: np.ndarray,
+    AY: np.ndarray,
+    Z: np.ndarray,
+    work: _InterpWork,
 ) -> np.ndarray:
-    """One sweep z <- A_u^{-1} (phi(A_cs y + r_cs(y, z)) - r_u(y, z)).
+    """z <- A_u^{-1} (phi(A_cs y + r_cs(y, z)) - r_u(y, z)) at each row.
 
-    AY is Y @ A_cs.T, which does not change between sweeps.
+    AY is Y @ A_cs.T; phi is interpolated into work.  Only the pair's
+    remainder and phi._interp run here, so it may run on any thread.
     """
     if pair.remainder is None:
-        return np.asarray(phi(AY)) @ pair._A_u_inv.T
+        return phi._interp(AY, work) @ pair._A_u_inv.T
     R_cs, R_u = pair.remainder(Y, Z)
-    rhs = np.asarray(phi(AY + R_cs))
+    rhs = phi._interp(AY + R_cs, work)
     rhs -= R_u
     return rhs @ pair._A_u_inv.T
+
+
+class _Chunk:
+    """A contiguous run of a fixed-point solve's rows, with its own
+    iterate, last step norms and interpolation work arrays."""
+
+    def __init__(self, phi: GraphFunction, Y: np.ndarray, AY: np.ndarray):
+        self.Y, self.AY = Y, AY
+        self.Z = np.zeros((len(Y), phi.n))
+        self.work = _InterpWork(phi.m, phi.n, len(Y))
+        self.prev_step: Optional[np.ndarray] = None
+
+    def sweep(self, pair: PHPair, phi: GraphFunction, floor: float) -> tuple:
+        """Advance every row one sweep.
+
+        Returns the largest successive-step ratio over the rows whose
+        last step exceeded floor (None when there are none) and the
+        largest step.
+        """
+        Znew = _rows_rhs(pair, phi, self.Y, self.AY, self.Z, self.work)
+        step = _row_norms(Znew - self.Z)
+        worst = None
+        if self.prev_step is not None:
+            mask = self.prev_step > floor
+            if np.any(mask):
+                worst = np.max(step[mask] / self.prev_step[mask])
+        self.prev_step, self.Z = step, Znew
+        return worst, np.max(step)
+
+
+def _aux_rhs(
+    pair: PHPair,
+    phi: GraphFunction,
+    chunks: Sequence[_Chunk],
+    pool: Optional[ThreadPoolExecutor],
+    floor: float,
+) -> tuple:
+    """One sweep of the auxiliary maps over every chunk of a solve.
+
+    The calling thread sweeps the first chunk and the pool the others.
+    Returns the largest successive-step ratio (None when no row's last
+    step exceeded floor) and the largest step over all rows.  np.max
+    keeps a NaN, as the one-array maxima do, so neither depends on the
+    chunking.  A chunk's exception propagates, the first chunk's before
+    the others'; the pool's shutdown waits for the chunks still running.
+    """
+    futures = [pool.submit(c.sweep, pair, phi, floor) for c in chunks[1:]]
+    results = [chunks[0].sweep(pair, phi, floor)] + [f.result() for f in futures]
+    worsts = [w for w, _ in results if w is not None]
+    worst = float(np.max(worsts)) if worsts else None
+    return worst, float(np.max([s for _, s in results]))
 
 
 def _solve_fixed_points(
@@ -346,25 +404,26 @@ def _solve_fixed_points(
 
     The contraction factor 2 eps / mu < 1 guarantees geometric
     convergence; successive-step ratios above 1 (measured away from the
-    floating-point noise floor) raise NoContraction.  Every sweep
-    interpolates phi into the same work arrays.
+    floating-point noise floor) raise NoContraction.  The rows split
+    into k = min(thread_cap(), N // MIN_CHUNK_ROWS) contiguous chunks,
+    at least one, swept by k threads in lockstep.  Every row's
+    arithmetic is the same whatever its chunk, and the stop and
+    contraction tests read maxima over all rows, so the values, the
+    ratios and the sweep that stops or raises do not depend on k.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    phi = phi.with_work(len(Y))
     AY = Y @ pair.A_cs.T
-    Z = np.zeros((len(Y), pair.n))
-    prev_step = None
+    N = len(Y)
+    k = max(1, min(thread_cap(), N // MIN_CHUNK_ROWS))
+    bounds = [N * i // k for i in range(k + 1)]
+    chunks = [_Chunk(phi, Y[a:b], AY[a:b]) for a, b in zip(bounds, bounds[1:])]
     floor = max(10.0 * tol, 1e-12)
-    for it in range(FIXED_POINT_MAX_ITER):
-        Znew = _aux_rhs(pair, phi, Y, AY, Z)
-        step = _row_norms(Znew - Z)
-        if prev_step is not None:
-            mask = prev_step > floor
-            if np.any(mask):
-                ratios = step[mask] / prev_step[mask]
-                worst = float(np.max(ratios))
+    with ThreadPoolExecutor(k - 1) if k > 1 else contextlib.nullcontext() as pool:
+        for _ in range(FIXED_POINT_MAX_ITER):
+            worst, largest = _aux_rhs(pair, phi, chunks, pool, floor)
+            if worst is not None:
                 if ratio_sink is not None:
                     ratio_sink.append(worst)
                 if worst > 1.0:
@@ -372,10 +431,8 @@ def _solve_fixed_points(
                         f"successive-step ratio {worst:.6g} exceeds 1; "
                         "the pseudo-hyperbolicity certificate is violated"
                     )
-        prev_step = step
-        Z = Znew
-        if float(np.max(step)) <= tol:
-            return Z
+            if largest <= tol:
+                return np.concatenate([c.Z for c in chunks])
     raise NoContraction(f"no convergence within {FIXED_POINT_MAX_ITER} iterations")
 
 
@@ -411,7 +468,7 @@ def graph_transform(
             f"transformed graph slope {lip:.8g} exceeds the bound "
             f"{pair.graph_lip_bound():.8g} (+ solve slack)"
         )
-    out.validate()
+    out.validate(lip)
     return out
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 import re
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from saddlescope import avoidance
+from saddlescope import avoidance, dynsys
 from saddlescope.avoidance import (
     VERDICTS,
     AvoidanceReport,
@@ -639,12 +640,14 @@ def test_luzin_rgd_determinants_match_per_point():
 
 
 def test_thread_cap_counts_the_usable_cpus(monkeypatch):
-    # the pool is sized by the CPUs this process may run on, not the machine's
+    # the pools are sized by the CPUs this process may run on, not the
+    # machine's; the cell pool and the graph-transform sweeps share the cap
+    assert avoidance.thread_cap is dynsys.thread_cap
     monkeypatch.delenv("SADDLESCOPE_THREADS", raising=False)
-    monkeypatch.setattr(avoidance.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    monkeypatch.setattr(avoidance.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert avoidance.thread_cap() == 1
-    monkeypatch.delattr(avoidance.os, "sched_getaffinity")
+    monkeypatch.delattr(os, "sched_getaffinity")
     assert avoidance.thread_cap() == 64
     monkeypatch.setenv("SADDLESCOPE_THREADS", "3")
     assert avoidance.thread_cap() == 3

@@ -1,16 +1,20 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from saddlescope import graphtransform
 from saddlescope.dynsys import Splitting
 from saddlescope.graphtransform import (
     GraphFunction,
     IncompatibleSplitting,
     NoContraction,
     PHPair,
-    _aux_rhs,
+    _InterpWork,
+    _rows_rhs,
     _solve_fixed_points,
     compose_phi,
     function_norm,
@@ -220,8 +224,9 @@ def test_parameter_lipschitz_bound():
         Y2 = rng.uniform(-1, 1, size=(400, 1))
         z = rng.uniform(-0.5, 0.5, size=(1, 1))
         Z = np.broadcast_to(z, (400, 1))
-        H1 = _aux_rhs(pair, phi, Y, Y @ pair.A_cs.T, Z)
-        H2 = _aux_rhs(pair, phi, Y2, Y2 @ pair.A_cs.T, Z)
+        work = _InterpWork(1, 1, 400)
+        H1 = _rows_rhs(pair, phi, Y, Y @ pair.A_cs.T, Z, work)
+        H2 = _rows_rhs(pair, phi, Y2, Y2 @ pair.A_cs.T, Z, work)
         num = np.linalg.norm(H1 - H2, axis=1)
         den = np.linalg.norm(Y - Y2, axis=1)
         keep = den > 1e-9
@@ -255,6 +260,22 @@ def test_graph_transform_preserves_class():
         out = graph_transform(pair, phi, tol=1e-11)
         out.validate()
         assert out.lipschitz_upper() <= pair.graph_lip_bound() + 1e-8
+
+
+def test_graph_transform_takes_each_slope_once(monkeypatch):
+    # one slope pass for the input's check and one for the output's two
+    slopes = []
+    lipschitz_upper = GraphFunction.lipschitz_upper
+
+    def counted(self):
+        slopes.append(self)
+        return lipschitz_upper(self)
+
+    monkeypatch.setattr(GraphFunction, "lipschitz_upper", counted)
+    pair = random_ph_pair(np.random.default_rng(23), 2, 1)
+    phi = random_f1_graph(np.random.default_rng(24), 2, 1, delta=1.0 / 16.0)
+    out = graph_transform(pair, phi, tol=1e-11)
+    assert slopes == [phi, out]
 
 
 def test_graph_transform_contraction_closed_form():
@@ -534,17 +555,13 @@ def test_interpolation_matches_tuple_indexed_formula_bitwise(m, n, delta, radius
     # a zero start turns -0.0 data into +0.0, as the per-node sum does
     neg_zero = phi.like(np.full(phi.values.shape, -0.0))
     assert same_bits(neg_zero(batches[0]), reference_interpolate(neg_zero, batches[0]))
-    # one solve's work arrays serve different point sets in a row; each
+    # one chunk's work arrays serve different point sets in a row; each
     # call overwrites the last one's result in place
-    swept = phi.with_work(300)
+    work = _InterpWork(m, n, 300)
     for Y in batches[:3]:
-        got = swept(Y)
+        got = phi._interp(Y, work)
+        assert got is work.out
         assert same_bits(got, phi(Y))
-        assert np.shares_memory(got, swept._work.out)
-    # another point count gets fresh arrays
-    got = swept(batches[3])
-    assert same_bits(got, phi(batches[3]))
-    assert not np.shares_memory(got, swept._work.out)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
@@ -567,14 +584,136 @@ def test_graph_transform_matches_reference_solve_bitwise(m, n):
         ref[phi.origin_index] = 0.0
         assert same_bits(out.values, ref)
         assert sink == ref_sink and len(sink) > 0
-    # one solve's work arrays serve two point sets in a row: each sweep
+    # one chunk's work arrays serve two point sets in a row: each sweep
     # equals the reference sweep from fresh arrays
     phi = random_f1_graph(rng, m, n, delta=delta)
-    swept = phi.with_work(50)
+    work = _InterpWork(m, n, 50)
     A_u_inv = np.linalg.inv(pair.A_u)
     for _ in range(2):
         Y = rng.uniform(-2.0, 2.0, size=(50, m))
         Z = rng.uniform(-2.0, 2.0, size=(50, n))
         R_cs, R_u = reference_sine_remainder(pair)(Y, Z)
         ref = (reference_interpolate(phi, Y @ pair.A_cs.T + R_cs) - R_u) @ A_u_inv.T
-        assert same_bits(_aux_rhs(pair, swept, Y, Y @ pair.A_cs.T, Z), ref)
+        assert same_bits(_rows_rhs(pair, phi, Y, Y @ pair.A_cs.T, Z, work), ref)
+
+
+# --- the threaded solve -------------------------------------------------------
+#
+# A solve splits its rows into chunks swept by several threads.  Rows are
+# independent and the stop and contraction tests read exact maxima, so
+# every thread count must give the serial solve's bits.
+
+
+def _counting_chunks(monkeypatch):
+    """Record the chunk count of every sweep."""
+    counts = []
+    sweep = graphtransform._aux_rhs
+
+    def counted(pair, phi, chunks, pool, floor):
+        counts.append(len(chunks))
+        return sweep(pair, phi, chunks, pool, floor)
+
+    monkeypatch.setattr(graphtransform, "_aux_rhs", counted)
+    return counts
+
+
+def _sine_transforms(m, n, delta):
+    """Transforms of the zero graph and of a random F1 graph under one
+    sine pair, and the ratios the two solves record."""
+    rng = np.random.default_rng([41, m, n, round(1.0 / delta)])
+    pair = random_ph_pair(rng, m, n)
+    phis = (GraphFunction.zero(m, n, 1.0, delta), random_f1_graph(rng, m, n, delta=delta))
+    sink = []
+    values = [graph_transform(pair, phi, 1e-9, ratio_sink=sink).values for phi in phis]
+    return values, sink
+
+
+@pytest.mark.parametrize("m,n", [(2, 1), (2, 2)])
+@pytest.mark.parametrize("delta,chunks", [(1.0 / 128.0, (1, 2, 3)), (1.0 / 96.0, (1, 2, 2))])
+def test_threaded_solve_is_the_serial_solve_bitwise(monkeypatch, m, n, delta, chunks):
+    counts = _counting_chunks(monkeypatch)
+    runs = []
+    for threads, k in zip(("1", "2", "3"), chunks):
+        monkeypatch.setenv("SADDLESCOPE_THREADS", threads)
+        counts.clear()
+        runs.append(_sine_transforms(m, n, delta))
+        assert set(counts) == {k}
+    ref_values, ref_sink = runs[0]
+    assert len(ref_sink) > 0
+    for values, sink in runs[1:]:
+        assert all(same_bits(a, b) for a, b in zip(values, ref_values))
+        assert same_bits(sink, ref_sink)
+
+
+@pytest.mark.parametrize("threads", ["5", "7"])
+def test_threaded_solve_splits_at_any_row(monkeypatch, threads):
+    # more threads than cores, odd chunk sizes and a short switch interval
+    monkeypatch.setattr(graphtransform, "MIN_CHUNK_ROWS", 1001)
+    monkeypatch.setenv("SADDLESCOPE_THREADS", "1")
+    ref_values, ref_sink = _sine_transforms(2, 2, 1.0 / 64.0)
+    counts = _counting_chunks(monkeypatch)
+    monkeypatch.setenv("SADDLESCOPE_THREADS", threads)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        values, sink = _sine_transforms(2, 2, 1.0 / 64.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert set(counts) == {int(threads)}
+    assert all(same_bits(a, b) for a, b in zip(values, ref_values))
+    assert same_bits(sink, ref_sink)
+
+
+def _lying_pair():
+    # A_u claims mu = 2 but the z-remainder has slope 10 (2x1 factors)
+    return PHPair(
+        Splitting(np.eye(3)[:2], np.eye(3)[2:]),
+        np.eye(2),
+        [[2.0]],
+        mu=2.0,
+        lam=1.0,
+        eps=0.2,
+        remainder=lambda Y, Z: (np.zeros_like(Y), 5.0 * np.sin(2.0 * Z) + Y[:, :1]),
+    )
+
+
+def test_threaded_solve_raises_no_contraction_at_the_serial_sweep(monkeypatch):
+    outcomes = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("SADDLESCOPE_THREADS", threads)
+        sink = []
+        with pytest.raises(NoContraction) as info:
+            graph_transform(_lying_pair(), GraphFunction.zero(2, 1, 1.0, 1.0 / 128.0), 1e-9, sink)
+        outcomes.append((str(info.value), sink))
+    assert len(outcomes[0][1]) > 0
+    for message, sink in outcomes[1:]:
+        assert message == outcomes[0][0]
+        assert same_bits(sink, outcomes[0][1])
+
+
+class _RemainderFailed(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("where", ["worker", "caller"])
+def test_threaded_solve_surfaces_a_chunk_exception(monkeypatch, where):
+    # the first chunk, which starts at the lattice corner (-1, -1), is
+    # the calling thread's; one chunk fails in its third sweep
+    pair = random_ph_pair(np.random.default_rng(3), 2, 2)
+    sweeps, raised_on_caller = [], []
+
+    def remainder(Y, Z):
+        if (Y[0, 0] == -1.0 and Y[0, 1] == -1.0) == (where == "caller"):
+            sweeps.append(None)
+            if len(sweeps) == 3:
+                raised_on_caller.append(threading.current_thread() is threading.main_thread())
+                raise _RemainderFailed(where)
+        return pair.remainder(Y, Z)
+
+    failing = PHPair(pair.splitting, pair.A_cs, pair.A_u, pair.mu, pair.lam, pair.eps, remainder)
+    monkeypatch.setenv("SADDLESCOPE_THREADS", "2")
+    baseline = threading.active_count()
+    with pytest.raises(_RemainderFailed, match=where):
+        graph_transform(failing, GraphFunction.zero(2, 2, 1.0, 1.0 / 128.0), 1e-9)
+    assert raised_on_caller == [where == "caller"]
+    assert threading.active_count() == baseline
